@@ -5,9 +5,10 @@ witness | verify.  Numeric ranges accept ``a:b:step`` (inclusive of both ends
 within 1e-12) or a single value.  Identical invocations (including --seed)
 produce byte-identical output.
 
-Environment: BPB_THREADS caps estimator parallelism, BPB_SEED overrides the
-default seed.  Exit codes: 0 ok, 1 verification/search failure, 2 usage
-error, 3 numeric regime error.
+Environment: BPB_SEED overrides the default seed.  The estimators run in one
+thread: ``--threads`` and BPB_THREADS are accepted for compatibility and
+ignored.  Exit codes: 0 ok, 1 verification/search failure, 2 usage error,
+3 numeric regime error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .closed_forms import (ModulusQuery, RegimeError, hilbert_distance, HilbertPair,
                            hilbert_modulus, nonsquare_phi_bound, phi_lower_bound,
@@ -28,8 +28,7 @@ from .moduli import (CorrectorSearchError, bpb_corrector, check_alpha_self_dual,
                      collapse_k, convexity_profile, estimate_alpha, estimate_phi,
                      estimate_phi_mut)
 from .pi_set import EmptyConstraintError, distance_to_pi, pair_state
-from .spaces import (EstimatorConfig, Lp, NormedSpace, SpaceSpecError, Sum1, SumInf,
-                     describe, parse_space)
+from .spaces import EstimatorConfig, Lp, NormedSpace, Sum1, SumInf, describe, parse_space
 from .verify import run_suite
 from .witnesses import linf2_witness, real_witness, sum1_witness, suminf_witness
 
@@ -45,20 +44,6 @@ _COLUMNS = {
               "dual_mesh_error"],
     "convexity": ["eps", "delta_x", "mesh_error", "day_nordlander"],
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the estimator-backed commands."""
-
-    resolution: int
-    tol: float
-    seed: int
-    threads: int
-
-    def estimator(self) -> EstimatorConfig:
-        return EstimatorConfig(resolution=self.resolution, tol=self.tol,
-                               seed=self.seed, threads=self.threads)
 
 
 def _parse_range(text: str) -> list[float]:
@@ -122,10 +107,6 @@ def _write(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _space_id(space: NormedSpace) -> dict:
-    return describe(space)
 
 
 def _is_real_line(space: NormedSpace) -> bool:
@@ -206,16 +187,16 @@ def cmd_bound(args) -> int:
 
 def cmd_distance(args) -> int:
     space = parse_space(args.space)
-    run = _run_config(args)
+    cfg = _run_config(args)
     pair = pair_state(space, args.x, args.f)
-    witness = distance_to_pi(space, pair, run.estimator())
+    witness = distance_to_pi(space, pair, cfg)
     closed = None
     if _is_real_line(space):
         closed = real_line_distance(float(pair.x[0]), float(pair.f[0]))
     elif _is_plane_l2(space) and max(pair.norm_x, pair.norm_f) <= 1.0 + 1e-9:
         closed = hilbert_distance(HilbertPair(pair.x, pair.f))
     _emit_json(args, "distance", {
-        "space": _space_id(space),
+        "space": describe(space),
         "x": list(map(float, pair.x)),
         "f": list(map(float, pair.f)),
         "witness": witness.to_json_dict(),
@@ -227,8 +208,7 @@ def cmd_distance(args) -> int:
 
 def cmd_modulus(args) -> int:
     space = parse_space(args.space)
-    run = _run_config(args)
-    cfg = run.estimator()
+    cfg = _run_config(args)
     rows = []
     for delta in args.delta:
         row = {"delta": delta, "note": ""}
@@ -250,7 +230,7 @@ def cmd_modulus(args) -> int:
                        sqrt_2delta=math.sqrt(2.0 * delta), closed_form=None,
                        note=f"error: {exc}")
         rows.append(row)
-    meta = {"space": _space_id(space), "mode": args.mode,
+    meta = {"space": describe(space), "mode": args.mode,
             "mu": args.mu, "theta": args.theta}
     _emit(args, "modulus", rows, meta)
     return 0
@@ -258,8 +238,7 @@ def cmd_modulus(args) -> int:
 
 def cmd_alpha(args) -> int:
     space = parse_space(args.space)
-    run = _run_config(args)
-    cfg = run.estimator()
+    cfg = _run_config(args)
     if args.self_dual:
         rep, rep_dual = check_alpha_self_dual(space, cfg)
     else:
@@ -273,37 +252,36 @@ def cmd_alpha(args) -> int:
         "alpha_dual": None if rep_dual is None else rep_dual.alpha,
         "dual_mesh_error": None if rep_dual is None else rep_dual.mesh_error,
     }
-    _emit(args, "alpha", [row], {"space": _space_id(space)})
+    _emit(args, "alpha", [row], {"space": describe(space)})
     return 0
 
 
 def cmd_convexity(args) -> int:
     space = parse_space(args.space)
-    run = _run_config(args)
-    reports = convexity_profile(space, args.eps, run.estimator())
+    cfg = _run_config(args)
+    reports = convexity_profile(space, args.eps, cfg)
     rows = [{
         "eps": r.eps,
         "delta_x": r.delta_x,
         "mesh_error": r.mesh_error,
         "day_nordlander": 1.0 - math.sqrt(max(0.0, 1.0 - r.eps ** 2 / 4.0)),
     } for r in reports]
-    _emit(args, "convexity", rows, {"space": _space_id(space)})
+    _emit(args, "convexity", rows, {"space": describe(space)})
     return 0
 
 
 def cmd_corrector(args) -> int:
     space = parse_space(args.space)
-    run = _run_config(args)
+    cfg = _run_config(args)
     pair = pair_state(space, args.x, args.f)
     k = args.k if args.k is not None else collapse_k(args.delta, args.alpha_tilde)
     try:
-        result = bpb_corrector(space, pair, args.delta, k, args.alpha_tilde,
-                               run.estimator())
+        result = bpb_corrector(space, pair, args.delta, k, args.alpha_tilde, cfg)
     except CorrectorSearchError as exc:
         sys.stderr.write(f"corrector search failed: {exc}\n")
         return 1
     _emit_json(args, "corrector", {
-        "space": _space_id(space),
+        "space": describe(space),
         "delta": args.delta,
         "k": k,
         "alpha_tilde": args.alpha_tilde,
@@ -336,7 +314,7 @@ def cmd_witness(args) -> int:
     _emit_json(args, "witness", {
         "family": args.family,
         "query": {"mu": args.mu, "theta": args.theta, "delta": args.delta},
-        "space": _space_id(space),
+        "space": describe(space),
         "x": list(map(float, pair.x)),
         "f": list(map(float, pair.f)),
         "norm_x": pair.norm_x,
@@ -374,14 +352,15 @@ def cmd_verify(args) -> int:
 # Parser
 
 
-def _run_config(args) -> RunConfig:
+def _run_config(args) -> EstimatorConfig:
     seed = int(os.environ.get("BPB_SEED", args.seed))
-    threads = args.threads
-    cap = os.environ.get("BPB_THREADS")
-    if cap is not None:
-        threads = max(1, min(threads, int(cap)))
-    return RunConfig(resolution=args.resolution, tol=args.tol, seed=seed,
-                     threads=threads)
+    return EstimatorConfig(resolution=args.resolution, tol=args.tol, seed=seed)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -390,8 +369,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
     p.add_argument("--seed", type=int, default=1729,
                    help="sampler seed (env BPB_SEED overrides)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel chunks (env BPB_THREADS caps)")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted and ignored; the estimators run in one thread")
     p.add_argument("--output", default=None, help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="table format (default csv)")
@@ -488,12 +467,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SpaceSpecError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
     except (RegimeError, EmptyConstraintError) as exc:
         sys.stderr.write(f"regime error: {exc}\n")
         return 3
+    except ValueError as exc:  # SpaceError, config validation, preconditions
+        sys.stderr.write(f"usage error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,13 +9,15 @@ mesh-error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .closed_forms import ALPHA_CEILING, ModulusQuery, RegimeError
 from .pi_set import (EmptyConstraintError, ModulusEstimate, PairState, PiWitness,
-                     _cached_pi_sample, _golden_min, _sup_over_pairs, hausdorff_modulus_set)
+                     _cached_pi_sample, _golden_min, _sup_over_pairs, _zoom_min)
+# the modulus at level delta in ball or sphere mode, under its short name
+from .pi_set import hausdorff_modulus_set as estimate_phi
 from .spaces import (EstimatorConfig, NormedSpace, SpaceError, mesh_gap,
                      sphere_sample, sphere_sample_angles)
 
@@ -110,18 +112,10 @@ def estimate_phi_mut(space: NormedSpace, q: ModulusQuery,
     floor = min(1.0 - q.delta, q.mu * q.theta)
     outer_gap = max(mesh_gap(space, xs, config.seed) if len(xs) > 1 else 0.0,
                     mesh_gap(dual, fs, config.seed) if len(fs) > 1 else 0.0)
-    return _sup_over_pairs(space, config, xs, fs, floor, pi,
+    return _sup_over_pairs(space, xs, fs, floor, pi,
                            x_angles=x_angles, x_radii=x_radii,
                            f_angles=f_angles, f_radii=f_radii,
                            refine_rounds=refine_rounds, outer_gap=outer_gap)
-
-
-def estimate_phi(space: NormedSpace, delta: float, mode: str,
-                 config: EstimatorConfig = EstimatorConfig(), *,
-                 refine_rounds: int = 3) -> ModulusEstimate:
-    """Modulus estimate at level delta: ball mode or sphere mode."""
-    return hausdorff_modulus_set(space, delta, mode, config,
-                                 refine_rounds=refine_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +141,7 @@ def _alpha_points(space: NormedSpace, config: EstimatorConfig):
     # pair enumeration is quadratic; cap the sphere mesh above dimension 2
     if space.dim <= 2:
         return sphere_sample(space, config)
-    eff = EstimatorConfig(resolution=min(config.resolution, 64), tol=config.tol,
-                          delta_slack=config.delta_slack, seed=config.seed,
-                          threads=config.threads)
-    return sphere_sample(space, eff)
+    return sphere_sample(space, replace(config, resolution=min(config.resolution, 64)))
 
 
 def estimate_alpha(space: NormedSpace,
@@ -315,8 +306,8 @@ def bpb_corrector(space: NormedSpace, p: PairState, delta: float, k: float,
             a, b = space.norm(p.x - y), dual.norm(p.f - g)
             return max(a - b1, 0.0) + max(b - b2, 0.0), y, g, a, b
 
-        phi, _ = _zoom_scalar(lambda t: v_angle(t)[0],
-                              float(pi.sweep_angles[i_sweep]), step)
+        phi, _ = _zoom_min(lambda t: v_angle(t)[0],
+                           float(pi.sweep_angles[i_sweep]), step, rounds=5)
         cand = v_angle(phi)
         if cand[0] < best[0]:
             best = cand
@@ -343,15 +334,3 @@ def bpb_corrector(space: NormedSpace, p: PairState, delta: float, k: float,
     return CorrectorResult(witness=PiWitness(np.array(y), np.array(g), max(a, b)),
                            slack_x=b1 - a, slack_f=b2 - b)
 
-
-def _zoom_scalar(fn, x0: float, halfwidth: float, rounds: int = 5, npts: int = 13):
-    best_x, best_v = x0, fn(x0)
-    center, w = x0, halfwidth
-    for _ in range(rounds):
-        for x in np.linspace(center - w, center + w, npts):
-            v = fn(x)
-            if v < best_v:
-                best_x, best_v = x, v
-        center = best_x
-        w *= 2.0 / (npts - 1)
-    return best_x, best_v

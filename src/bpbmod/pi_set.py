@@ -10,8 +10,8 @@ Pi(X) (covering the face structure of polytopal balls in two dimensions),
 computes certified-upper-bound distances with local refinement, and runs the
 grid suprema that estimate the almost-attainment moduli.
 
-Estimators are deterministic for a fixed seed and resolution regardless of
-chunking: reductions break ties by lowest sample index.
+Estimators are deterministic for a fixed seed and resolution: reductions
+break ties by lowest sample index.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def build_pi_sample(space: NormedSpace, config: EstimatorConfig) -> PiSample:
         angles, pts = sphere_sample_angles(space, config.resolution)
     else:
         angles, pts = None, sphere_sample(space, config)
-    funcs = np.array([space.support(p) for p in pts])
+    funcs = space.support_rows(pts)
     sweep_count = len(pts)
 
     faces: list[_FaceSegment] = []
@@ -375,7 +375,7 @@ def _pair_distance_matrices(space, dual, xs, fs, pi):
     return dx, df
 
 
-def _sup_over_pairs(space, config, xs, fs, floor, pi, *,
+def _sup_over_pairs(space, xs, fs, floor, pi, *,
                     x_angles=None, x_radii=None, f_angles=None, f_radii=None,
                     refine_rounds=3, top_k=4, outer_gap=0.0):
     """Supremum of distance-to-Pi over feasible (x, f) mesh pairs.
@@ -396,25 +396,14 @@ def _sup_over_pairs(space, config, xs, fs, floor, pi, *,
     best_val = np.full(nx, -np.inf)
     best_j = np.zeros(nx, dtype=int)
 
-    def scan(rows):
-        # each slot is written once, so chunk scheduling cannot change results
-        for i in rows:
-            js = np.nonzero(feasible[i])[0]
-            if js.size == 0:
-                continue
-            vals = np.maximum(dx[i][None, :], df[js]).min(axis=1)
-            k = int(np.argmax(vals))
-            best_val[i] = vals[k]
-            best_j[i] = js[k]
-
-    if config.threads > 1 and nx > 64:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(nx), config.threads * 4)
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(scan, chunks))
-    else:
-        scan(range(nx))
+    for i in range(nx):
+        js = np.nonzero(feasible[i])[0]
+        if js.size == 0:
+            continue
+        vals = np.maximum(dx[i][None, :], df[js]).min(axis=1)
+        k = int(np.argmax(vals))
+        best_val[i] = vals[k]
+        best_j[i] = js[k]
 
     order = np.argsort(-best_val, kind="stable")[:top_k]
     seeds = [(int(i), int(best_j[i])) for i in order if np.isfinite(best_val[i])]
@@ -530,7 +519,7 @@ def hausdorff_modulus_set(space: NormedSpace, delta: float, mode: str,
         radial_gap = max(dr_x, dr_f)
     outer_gap = max(mesh_gap(space, sphere_sample(space, config), config.seed),
                     mesh_gap(dual, sphere_sample(dual, config), config.seed)) + radial_gap
-    return _sup_over_pairs(space, config, xs, fs, floor, pi,
+    return _sup_over_pairs(space, xs, fs, floor, pi,
                            x_angles=x_angles, x_radii=x_radii,
                            f_angles=f_angles, f_radii=f_radii,
                            refine_rounds=refine_rounds, outer_gap=outer_gap)

@@ -26,7 +26,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 # Tie detection for subdifferential faces (argmax sets, equal component norms).
 _TIE_TOL = 1e-12
-_LP_GAUGE_TOL = 1e-10
 _SAMPLE_DIM_LIMIT = 4
 
 
@@ -77,7 +75,7 @@ def as_vector(coords, dim: int | None = None) -> np.ndarray:
     v = np.atleast_1d(np.asarray(coords, dtype=float))
     if v.ndim != 1 or v.size < 1:
         raise SpaceError(f"expected a 1-d coordinate list, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise SpaceError("coordinates must be finite")
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
@@ -96,15 +94,14 @@ class EstimatorConfig:
                  estimators use ``action >= 1 - delta + delta_slack`` since a
                  mesh cannot represent the open condition ``> 1 - delta``
     seed         seed for the randomized samplers (4-d spheres, audits)
-    threads      chunk-level parallelism cap; results are deterministic for
-                 any thread count (ties broken by lowest sample index)
+
+    The estimators run in one thread; results depend on these fields only.
     """
 
     resolution: int = 400
     tol: float = 1e-9
     delta_slack: float = 0.0
     seed: int = 1729
-    threads: int = 1
 
     def __post_init__(self):
         if self.resolution < 8:
@@ -113,12 +110,15 @@ class EstimatorConfig:
             raise ValueError("tol must be positive")
         if self.delta_slack < 0:
             raise ValueError("delta_slack must be nonnegative")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 class NormedSpace:
-    """Base class for norm oracles.  Subclasses implement the row kernels."""
+    """Base class for norm oracles.
+
+    A space kind is defined by its row kernels ``norm_rows``,
+    ``dual_norm_rows`` and ``support_rows``; the scalar operations below
+    validate one vector and evaluate the kernel on it as a single row.
+    """
 
     dim: int
 
@@ -131,6 +131,17 @@ class NormedSpace:
     def dual_norm(self, f) -> float:
         f = as_vector(f, self.dim)
         return float(self.dual_norm_rows(f[None, :])[0])
+
+    def support(self, v) -> np.ndarray:
+        """A norm-one functional attaining the norm at v.
+
+        At non-smooth points the barycentric center of the subdifferential
+        face is returned, so the output is deterministic.
+        """
+        v = as_vector(v, self.dim)
+        if not v.any():
+            raise SpaceError("support functional undefined at the origin")
+        return self.support_rows(v[None, :])[0]
 
     def action(self, f, v) -> float:
         """Evaluate the functional f on the vector v (dot product)."""
@@ -152,12 +163,8 @@ class NormedSpace:
     def dual_norm_rows(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def support(self, v) -> np.ndarray:
-        """A norm-one functional attaining the norm at v.
-
-        At non-smooth points the barycentric center of the subdifferential
-        face is returned, so the output is deterministic.
-        """
+    def support_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Row-wise ``support`` of an ``(n, dim)`` array of nonzero rows."""
         raise NotImplementedError
 
     def dual(self) -> "NormedSpace":
@@ -221,22 +228,17 @@ class Lp(NormedSpace):
     def dual_norm_rows(self, rows):
         return Lp(_conjugate_exponent(self.p), self.dim).norm_rows(rows)
 
-    def support(self, v):
-        v = as_vector(v, self.dim)
-        a = np.abs(v)
-        nv = self.norm(v)
-        if nv == 0.0:
-            raise SpaceError("support functional undefined at the origin")
-        if self.p == math.inf:
-            # barycenter of the dual face spanned by the maximal coordinates
-            top = a >= a.max() * (1.0 - _TIE_TOL)
-            f = np.where(top, np.sign(v), 0.0)
-            return f / top.sum()
+    def support_rows(self, rows):
+        rows = np.asarray(rows, dtype=float)
         if self.p == 1.0:
             # sign vector; zero coordinates tie-broken to 0
-            return np.sign(v)
-        f = np.sign(v) * (a / nv) ** (self.p - 1.0)
-        return f
+            return np.sign(rows)
+        a = np.abs(rows)
+        if self.p == math.inf:
+            # barycenter of the dual face spanned by the maximal coordinates
+            top = a >= a.max(axis=1, keepdims=True) * (1.0 - _TIE_TOL)
+            return np.where(top, np.sign(rows), 0.0) / top.sum(axis=1, keepdims=True)
+        return np.sign(rows) * (a / self.norm_rows(rows)[:, None]) ** (self.p - 1.0)
 
     def dual(self):
         return Lp(_conjugate_exponent(self.p), self.dim)
@@ -308,46 +310,23 @@ class Polytope(NormedSpace):
 
     def norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
-        if self.dim <= 2:
-            # exact edge intersection: gauge is the largest facet ratio
-            normals, offsets = self._facets
-            return np.maximum((rows @ normals.T) / offsets, 0.0).max(axis=1)
-        return np.array([self._gauge_lp(r) for r in rows])
-
-    def _gauge_lp(self, v: np.ndarray) -> float:
-        # gauge(v) = min sum(lambda) subject to V^T lambda = v, lambda >= 0
-        if not np.any(v):
-            return 0.0
-        m = self.vertices.shape[0]
-        res = linprog(
-            np.ones(m),
-            A_eq=self.vertices.T,
-            b_eq=v,
-            bounds=(0.0, None),
-            method="highs",
-            options={"primal_feasibility_tolerance": _LP_GAUGE_TOL,
-                     "dual_feasibility_tolerance": _LP_GAUGE_TOL},
-        )
-        if res.status != 0:
-            raise SpaceError(f"gauge LP failed (status {res.status})")
-        return float(res.fun)
+        # the gauge is the largest facet ratio of the H-form
+        normals, offsets = self._facets
+        return np.maximum((rows @ normals.T) / offsets, 0.0).max(axis=1)
 
     def dual_norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
         # sup over the ball equals the max over the vertex list
         return (rows @ self.vertices.T).max(axis=1)
 
-    def support(self, v):
-        v = as_vector(v, self.dim)
-        g = self.norm(v)
-        if g == 0.0:
-            raise SpaceError("support functional undefined at the origin")
+    def support_rows(self, rows):
+        rows = np.asarray(rows, dtype=float)
         normals, offsets = self._facets
-        p = v / g
-        residual = (normals @ p) / offsets  # 1 on active facets
+        pts = rows / self.norm_rows(rows)[:, None]
+        residual = (pts @ normals.T) / offsets  # 1 on active facets
         active = residual >= 1.0 - 1e-9
-        funcs = normals[active] / offsets[active, None]
-        return funcs.mean(axis=0)
+        # mean of the active facet functionals
+        return (active @ (normals / offsets[:, None])) / active.sum(axis=1)[:, None]
 
     def dual(self):
         normals, offsets = self._facets
@@ -380,11 +359,24 @@ class _DirectSum(NormedSpace):
     def dim(self) -> int:
         return self.a.dim + self.b.dim
 
-    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return v[: self.a.dim], v[self.a.dim :]
+    def support_rows(self, rows):
+        # subclasses give _weights(na, nb): each component functional's share
+        rows = np.asarray(rows, dtype=float)
+        ra, rb = rows[:, : self.a.dim], rows[:, self.a.dim :]
+        wa, wb = self._weights(self.a.norm_rows(ra), self.b.norm_rows(rb))
+        return np.concatenate([_weighted_support(self.a, ra, wa),
+                               _weighted_support(self.b, rb, wb)], axis=1)
 
-    def join(self, va, vb) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(va), np.atleast_1d(vb)])
+
+def _weighted_support(space: NormedSpace, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows ``support(row) * w`` where w > 0 and 0 elsewhere; those may be zero."""
+    used = w > 0.0
+    if used.all():  # skips the masked copy, which dominates a one-row call
+        return space.support_rows(rows) * w[:, None]
+    f = np.zeros_like(rows)
+    if used.any():
+        f[used] = space.support_rows(rows[used]) * w[used, None]
+    return f
 
 
 class Sum1(_DirectSum):
@@ -401,14 +393,10 @@ class Sum1(_DirectSum):
         return np.maximum(self.a.dual_norm_rows(rows[:, :da]),
                           self.b.dual_norm_rows(rows[:, da:]))
 
-    def support(self, v):
-        v = as_vector(v, self.dim)
-        va, vb = self.split(v)
-        if self.norm(v) == 0.0:
-            raise SpaceError("support functional undefined at the origin")
-        fa = self.a.support(va) if self.a.norm(va) > 0.0 else np.zeros(self.a.dim)
-        fb = self.b.support(vb) if self.b.norm(vb) > 0.0 else np.zeros(self.b.dim)
-        return self.join(fa, fb)
+    @staticmethod
+    def _weights(na, nb):
+        # every nonzero component attains its own norm
+        return (na > 0.0).astype(float), (nb > 0.0).astype(float)
 
     def dual(self):
         return SumInf(self.a.dual(), self.b.dual())
@@ -444,19 +432,13 @@ class SumInf(_DirectSum):
         da = self.a.dim
         return self.a.dual_norm_rows(rows[:, :da]) + self.b.dual_norm_rows(rows[:, da:])
 
-    def support(self, v):
-        v = as_vector(v, self.dim)
-        va, vb = self.split(v)
-        na, nb = self.a.norm(va), self.b.norm(vb)
-        n = max(na, nb)
-        if n == 0.0:
-            raise SpaceError("support functional undefined at the origin")
-        if abs(na - nb) <= _TIE_TOL * n:
-            # both components attain the max: barycenter of the two faces
-            return self.join(self.a.support(va) / 2.0, self.b.support(vb) / 2.0)
-        if na > nb:
-            return self.join(self.a.support(va), np.zeros(self.b.dim))
-        return self.join(np.zeros(self.a.dim), self.b.support(vb))
+    @staticmethod
+    def _weights(na, nb):
+        # only the larger component attains the max; on a tie, the barycenter
+        # of the two faces
+        tie = np.abs(na - nb) <= _TIE_TOL * np.maximum(na, nb)
+        wa = np.where(tie, 0.5, na > nb)
+        return wa, 1.0 - wa
 
     def dual(self):
         return Sum1(self.a.dual(), self.b.dual())
@@ -547,7 +529,8 @@ def mesh_gap(space: NormedSpace, pts: np.ndarray, seed: int = 0) -> float:
     if space.dim == 2:
         diffs = pts - np.roll(pts, -1, axis=0)
         return float(space.norm_rows(diffs).max())
-    rng = np.random.default_rng(seed)
+    # a stream of its own: the 4-d sphere sample draws from default_rng(seed)
+    rng = np.random.default_rng([seed, 1])
     probes = rng.standard_normal((64, space.dim))
     probes /= space.norm_rows(probes)[:, None]
     worst = 0.0

@@ -1,15 +1,27 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from bpbmod.cli import main
 
 
+GOLDEN = Path(__file__).with_name("golden")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def exit_code(argv) -> int:
+    """main's return code, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_psi_range_rows(capsys):
@@ -187,3 +199,50 @@ def test_seed_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BPB_THREADS", "2")
     code, _ = run(capsys, "alpha", "--space", "l2:2", "--resolution", "160")
     assert code == 0
+
+
+# the README's CLI examples, other than verify, with their recorded stdout
+README_EXAMPLES = {
+    "psi": "psi --mu 1 --theta 1 --delta 0.1:0.5:0.1",
+    "distance": "distance --space l2:2 --x 1,0 --f 0,1",
+    "modulus_sphere": "modulus --space linf:2 --mode sphere --delta 0.5",
+    "modulus_mut": "modulus --space sum1(r:1,r:1) --mode mut --mu 0.9 --theta 0.9 --delta 0.4",
+    "alpha": "alpha --space l2:2 --self-dual",
+    "convexity": "convexity --space l2:2 --eps 0.5:2.0:0.5",
+    "corrector": "corrector --space l2:2 --x 1,0 --f 1,0 --delta 0.1 --alpha-tilde 0.58",
+    "witness": "witness --family linf2 --mu 1 --theta 1 --delta 0.5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_examples_match_golden(name, monkeypatch, capsys):
+    monkeypatch.delenv("BPB_SEED", raising=False)
+    code, out = run(capsys, *README_EXAMPLES[name].split())
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    "modulus --space l2:2 --mode sphere --delta 0.5 --resolution 4",
+    "modulus --space l2:2 --mode sphere --delta 0.5 --threads 0",
+    "distance --space lp:2:p=0.5 --x 1,0 --f 1,0",
+    "distance --space l2:2 --x 1,0,0 --f 1,0",
+    "distance --space l2:2 --x nan,0 --f 1,0",
+    "alpha --space l2:5",
+    "corrector --space l2:2 --x 1,0 --f 0,1 --delta 0.1 --alpha-tilde 0.58",
+])
+def test_malformed_input_exits_2(argv, capsys):
+    assert exit_code(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err
+
+
+def test_threads_flag_does_not_change_output(monkeypatch, capsys):
+    argv = ["modulus", "--space", "linf:2", "--mode", "ball", "--delta", "0.5",
+            "--resolution", "160"]
+    _, one = run(capsys, *argv, "--threads", "1")
+    _, two = run(capsys, *argv, "--threads", "2")
+    monkeypatch.setenv("BPB_THREADS", "4")
+    _, env = run(capsys, *argv)
+    assert one == two == env

@@ -60,6 +60,15 @@ def test_phi_sphere_below_ball(l2, cfg_fast):
     assert sphere <= ball + 1e-9
 
 
+def test_phi_sphere_l2_dim4_bracket_holds_limit():
+    # the random 4-d sphere mesh must not double as the mesh-gap probes,
+    # or the gap reads 0 and the bracket collapses onto a mesh value
+    est = estimate_phi(Lp(2.0, 4), 0.2, "sphere", EstimatorConfig(resolution=10))
+    exact = hilbert_modulus(q(1, 1, 0.2))
+    assert est.mesh_error > 0.0
+    assert est.value - est.mesh_error <= exact <= est.value + est.mesh_error
+
+
 def test_phi_sphere_under_estimated_alpha_bound(l2, hexagon, cfg_fast):
     from bpbmod import nonsquare_phi_bound
     for space in (l2, hexagon):

@@ -211,16 +211,6 @@ def test_delta_slack_tightens_constraint(linf):
     assert slacked <= base + 1e-9
 
 
-def test_deterministic_across_threads(linf):
-    a = hausdorff_modulus_set(linf, 0.5, "sphere",
-                              EstimatorConfig(resolution=160, threads=1))
-    b = hausdorff_modulus_set(linf, 0.5, "sphere",
-                              EstimatorConfig(resolution=160, threads=4))
-    assert a.value == b.value
-    np.testing.assert_array_equal(a.pair.x, b.pair.x)
-    np.testing.assert_array_equal(a.pair.f, b.pair.f)
-
-
 def test_pi_sample_gap_positive(hexagon):
     pi = build_pi_sample(hexagon, EstimatorConfig(resolution=64))
     assert pi.gap > 0

@@ -27,6 +27,11 @@ def test_norm_l1(l1):
     assert norm(l1, [0.3, -0.4]) == pytest.approx(0.7, abs=1e-15)
 
 
+def _symmetric(vertices):
+    vertices = np.asarray(vertices, dtype=float)
+    return Polytope(np.vstack([vertices, -vertices]))
+
+
 def test_norm_polytope_matches_lp_oracle(diamond):
     v = [0.5, 0.5]
     expected = polytope_gauge_lp_oracle(diamond.vertices, v)
@@ -35,6 +40,19 @@ def test_norm_polytope_matches_lp_oracle(diamond):
     # the diamond gauge is the 1-norm
     for vec in RNG.standard_normal((20, 2)):
         assert norm(diamond, vec) == pytest.approx(np.abs(vec).sum(), abs=1e-12)
+    rng = np.random.default_rng(7)
+    polytopes = [
+        _symmetric([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]),  # cube
+        _symmetric(np.eye(3)),                                       # octahedron
+        _symmetric(rng.standard_normal((9, 3))),
+        _symmetric(rng.standard_normal((12, 4))),
+    ]
+    for poly in polytopes:
+        rows = rng.standard_normal((25, poly.dim))
+        got = poly.norm_rows(rows)
+        for row, value in zip(rows, got):
+            expected = polytope_gauge_lp_oracle(poly.vertices, row)
+            assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_norm_dimension_mismatch(l2):
@@ -105,16 +123,44 @@ def test_support_barycentric_at_linf_vertex(linf):
                                atol=1e-12)
 
 
+# rows on subdifferential ties: a linf vertex, equal suminf components, a
+# zero sum1 component (and zero l1 coordinates)
+TIE_ROWS = np.array([[1.0, 1.0], [-1.0, 1.0], [0.5, -0.5], [1.0, 0.0], [0.0, -2.0]])
+
+
 @pytest.mark.parametrize("space_key", ["l1", "l2", "linf", "hexagon", "sum1_rr",
                                        "suminf_rr"])
 def test_support_properties(space_key, request):
     space = request.getfixturevalue(space_key)
-    for v in RNG.standard_normal((40, space.dim)):
-        if norm(space, v) < 1e-9:
-            continue
+    vs = np.vstack([RNG.standard_normal((40, space.dim)), TIE_ROWS])
+    vs = vs[space.norm_rows(vs) >= 1e-9]
+    fs = space.support_rows(vs)
+    for v, f_row in zip(vs, fs):
         f = support_functional(space, v)
+        np.testing.assert_array_equal(f_row, f)
         assert float(np.dot(f, v)) >= norm(space, v) - 1e-9
         assert dual_norm(space, f) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("spec", ["lp:3:p=1.5", "linf:3", "suminf(l1:2,r:1)",
+                                  "sum1(l2:2,r:1)", "cube"])
+def test_support_rows_match_scalar_dim3(spec):
+    space = (_symmetric([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+             if spec == "cube" else parse_space(spec))
+    vs = np.vstack([RNG.standard_normal((20, 3)),
+                    [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, -1.0]]])
+    fs = space.support_rows(vs)
+    for v, f_row in zip(vs, fs):
+        np.testing.assert_array_equal(f_row, support_functional(space, v))
+        assert float(np.dot(f_row, v)) == pytest.approx(norm(space, v), abs=1e-9)
+        assert dual_norm(space, f_row) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_support_rows_on_ties(linf, sum1_rr, suminf_rr):
+    np.testing.assert_array_equal(linf.support_rows(TIE_ROWS[:1]), [[0.5, 0.5]])
+    np.testing.assert_array_equal(suminf_rr.support_rows(TIE_ROWS[2:3]), [[0.5, -0.5]])
+    np.testing.assert_array_equal(sum1_rr.support_rows(TIE_ROWS[3:]),
+                                  [[1.0, 0.0], [0.0, -1.0]])
 
 
 def test_support_lp_general():
