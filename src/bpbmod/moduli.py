@@ -15,11 +15,11 @@ import numpy as np
 
 from .closed_forms import ALPHA_CEILING, ModulusQuery, RegimeError
 from .pi_set import (EmptyConstraintError, ModulusEstimate, PairState, PiWitness,
-                     _cached_pi_sample, _golden_min, _sup_over_pairs, _zoom_min)
+                     _cached_pi_sample, _golden_min, _sphere_mesh, _sup_over_pairs,
+                     _sweep_gaps, _zoom)
 # the modulus at level delta in ball or sphere mode, under its short name
 from .pi_set import hausdorff_modulus_set as estimate_phi
-from .spaces import (EstimatorConfig, NormedSpace, SpaceError, mesh_gap,
-                     sphere_sample, sphere_sample_angles)
+from .spaces import EstimatorConfig, NormedSpace, SpaceError, mesh_gap, sphere_chart
 
 __all__ = [
     "AlphaReport",
@@ -89,25 +89,15 @@ def estimate_phi_mut(space: NormedSpace, q: ModulusQuery,
     """
     pi = _cached_pi_sample(space, config)
     dual = space.dual()
-    if space.dim == 2:
-        x_angles, x_unit = sphere_sample_angles(space, config.resolution)
-        f_angles, f_unit = sphere_sample_angles(dual, config.resolution)
-    else:
-        x_angles = f_angles = None
-        x_unit, f_unit = sphere_sample(space, config), sphere_sample(dual, config)
 
-    if q.mu > 0.0:
-        xs, x_radii = q.mu * x_unit, np.full(len(x_unit), q.mu)
-    else:
-        xs = np.zeros((1, space.dim))
-        x_radii = np.zeros(1)
-        x_angles = np.zeros(1) if x_angles is not None else None
-    if q.theta > 0.0:
-        fs, f_radii = q.theta * f_unit, np.full(len(f_unit), q.theta)
-    else:
-        fs = np.zeros((1, space.dim))
-        f_radii = np.zeros(1)
-        f_angles = np.zeros(1) if f_angles is not None else None
+    def scaled(angles, unit, r):
+        # radius 0 collapses the sphere mesh to the origin
+        if r > 0.0:
+            return angles, r * unit, np.full(len(unit), r)
+        return None if angles is None else np.zeros(1), np.zeros((1, space.dim)), np.zeros(1)
+
+    x_angles, xs, x_radii = scaled(*_sphere_mesh(space, config), q.mu)
+    f_angles, fs, f_radii = scaled(*_sphere_mesh(dual, config), q.theta)
 
     floor = min(1.0 - q.delta, q.mu * q.theta)
     outer_gap = max(mesh_gap(space, xs, config.seed) if len(xs) > 1 else 0.0,
@@ -138,10 +128,11 @@ def _pair_norm_profile(space: NormedSpace, pts: np.ndarray):
 
 
 def _alpha_points(space: NormedSpace, config: EstimatorConfig):
+    """Sphere mesh and sweep angles for the pair sweeps."""
     # pair enumeration is quadratic; cap the sphere mesh above dimension 2
-    if space.dim <= 2:
-        return sphere_sample(space, config)
-    return sphere_sample(space, replace(config, resolution=min(config.resolution, 64)))
+    if space.dim > 2:
+        config = replace(config, resolution=min(config.resolution, 64))
+    return _sphere_mesh(space, config)
 
 
 def estimate_alpha(space: NormedSpace,
@@ -152,7 +143,7 @@ def estimate_alpha(space: NormedSpace,
     supremum over the ball product is attained on sphere pairs; interior
     sampling is audited separately, not assumed (audit_alpha_interior).
     """
-    pts = _alpha_points(space, config)
+    angles, pts = _alpha_points(space, config)
     sums, diffs = _pair_norm_profile(space, pts)
     obj = (sums + diffs) / 2.0
     flat = int(np.argmax(obj))
@@ -160,26 +151,15 @@ def estimate_alpha(space: NormedSpace,
     best = float(obj[i0, j0])
     bx, by = pts[i0].copy(), pts[j0].copy()
 
-    if space.dim == 2:
-        angles, _ = sphere_sample_angles(space, config.resolution)
-        step = 2.0 * math.pi / config.resolution
+    if angles is not None:
+        def score(phi1, phi2):
+            u, v = sphere_chart(space, phi1), sphere_chart(space, phi2)
+            return -(space.norm_rows(u + v) + space.norm_rows(u - v)) / 2.0
 
-        def value(phi1, phi2):
-            u = np.array([math.cos(phi1), math.sin(phi1)])
-            v = np.array([math.cos(phi2), math.sin(phi2)])
-            u = u / space.norm(u)
-            v = v / space.norm(v)
-            return (space.norm(u + v) + space.norm(u - v)) / 2.0, u, v
-
-        c1, c2 = float(angles[i0]), float(angles[j0])
-        w = step
-        for _ in range(4):
-            for p1 in np.linspace(c1 - w, c1 + w, 5):
-                for p2 in np.linspace(c2 - w, c2 + w, 5):
-                    v, u1, u2 = value(p1, p2)
-                    if v > best:
-                        best, bx, by, c1, c2 = v, u1, u2, p1, p2
-            w *= 0.35
+        (c1, c2), v = _zoom(score, (angles[i0], angles[j0]), 2.0 * math.pi / config.resolution,
+                            -best, rounds=4, npts=5, shrink=0.35)
+        if -v > best:
+            best, bx, by = float(-v), sphere_chart(space, [c1])[0], sphere_chart(space, [c2])[0]
 
     gap = mesh_gap(space, pts, config.seed)
     return AlphaReport(alpha=2.0 - best, maximizer=(bx, by), mesh_error=gap)
@@ -209,7 +189,7 @@ def convexity_profile(space: NormedSpace, eps_values,
     never overshoots the constrained supremum because that supremum is
     non-increasing in the separation.
     """
-    pts = _alpha_points(space, config)
+    _, pts = _alpha_points(space, config)
     sums, diffs = _pair_norm_profile(space, pts)
     gap = mesh_gap(space, pts, config.seed)
     band = 2.0 * gap
@@ -299,18 +279,16 @@ def bpb_corrector(space: NormedSpace, p: PairState, delta: float, k: float,
         i_sweep = int(np.argmin(viol[: pi.sweep_count]))
         step = 2.0 * math.pi / pi.sweep_count
 
-        def v_angle(phi):
-            y = np.array([math.cos(phi), math.sin(phi)])
-            y = y / space.norm(y)
-            g = space.support(y)
-            a, b = space.norm(p.x - y), dual.norm(p.f - g)
-            return max(a - b1, 0.0) + max(b - b2, 0.0), y, g, a, b
+        def violation(phi):
+            _, _, a, b = _sweep_gaps(space, dual, p, phi)
+            return np.maximum(a - b1, 0.0) + np.maximum(b - b2, 0.0)
 
-        phi, _ = _zoom_min(lambda t: v_angle(t)[0],
-                           float(pi.sweep_angles[i_sweep]), step, rounds=5)
-        cand = v_angle(phi)
-        if cand[0] < best[0]:
-            best = cand
+        phi0 = pi.sweep_angles[i_sweep : i_sweep + 1]
+        phi, v = _zoom(violation, phi0, step, violation(phi0)[0],
+                       rounds=5, npts=13, shrink=2.0 / 12)
+        if v < best[0]:
+            y, g, a, b = _sweep_gaps(space, dual, p, phi)
+            best = (float(v), y[0], g[0], float(a[0]), float(b[0]))
         if best[0] > 0.0:
             for seg in pi.faces:
                 a = space.norm(p.x - seg.vertex)

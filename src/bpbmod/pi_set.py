@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spaces import (EstimatorConfig, Lp, NormedSpace, as_vector, mesh_gap,
-                     sphere_sample, sphere_sample_angles)
+                     sphere_chart, sphere_sample, sphere_sample_angles)
 
 __all__ = [
     "PairState",
@@ -144,31 +144,19 @@ def _face_segments(space: NormedSpace, dual: NormedSpace) -> list[_FaceSegment]:
 def build_pi_sample(space: NormedSpace, config: EstimatorConfig) -> PiSample:
     """Sample Pi(X): sphere sweep plus dual-face meshes at 2-d vertices."""
     dual = space.dual()
-    if space.dim == 2:
-        angles, pts = sphere_sample_angles(space, config.resolution)
-    else:
-        angles, pts = None, sphere_sample(space, config)
+    angles, pts = _sphere_mesh(space, config)
     funcs = space.support_rows(pts)
     sweep_count = len(pts)
 
-    faces: list[_FaceSegment] = []
-    if space.dim == 2:
-        faces = _face_segments(space, dual)
-        if faces:
-            m = max(17, config.resolution // 8)
-            m += (m + 1) % 2  # odd, so the barycentric center is on the mesh
-            ts = np.linspace(0.0, 1.0, m)
-            extra_pts, extra_funcs = [], []
-            for seg in faces:
-                for t in ts:
-                    g = (1.0 - t) * seg.g_lo + t * seg.g_hi
-                    nd = dual.norm(g)
-                    if abs(nd - 1.0) > 1e-12:
-                        g = g / nd
-                    extra_pts.append(seg.vertex)
-                    extra_funcs.append(g)
-            pts = np.concatenate([pts, np.array(extra_pts)], axis=0)
-            funcs = np.concatenate([funcs, np.array(extra_funcs)], axis=0)
+    faces = _face_segments(space, dual) if space.dim == 2 else []
+    if faces:
+        m = max(17, config.resolution // 8)
+        m += (m + 1) % 2  # odd, so the barycentric center is on the mesh
+        ts = np.linspace(0.0, 1.0, m)[:, None]
+        g = np.concatenate([(1.0 - ts) * seg.g_lo + ts * seg.g_hi for seg in faces])
+        nd = dual.norm_rows(g)[:, None]
+        pts = np.concatenate([pts, np.repeat([seg.vertex for seg in faces], m, axis=0)])
+        funcs = np.concatenate([funcs, np.where(np.abs(nd - 1.0) > 1e-12, g / nd, g)])
 
     gap_pts = mesh_gap(space, pts[:sweep_count], seed=config.seed)
     face_step = 0.0
@@ -211,19 +199,33 @@ def _golden_min(fn, lo: float, hi: float, iters: int = 60):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _zoom_min(fn, x0: float, halfwidth: float, rounds: int = 4, npts: int = 13):
-    """Deterministic shrinking-grid minimizer; robust to kinks."""
-    best_x, best_v = x0, fn(x0)
-    w = halfwidth
-    center = x0
+def _zoom(score, center, halfwidth, best, *, rounds: int, npts: int, shrink: float):
+    """Shrinking product-grid minimizer over one or two angles; robust to kinks.
+
+    Each round scores the ``npts``-per-axis grid around ``center`` with one
+    ``score(*axes)`` call on the flattened grid, moves to its lowest value
+    only if that strictly beats the incumbent ``best`` (ties go to the
+    lowest grid index), and shrinks the half-widths by ``shrink``.  Returns
+    the final center and value.  Maximizers pass the negated score.
+    """
+    center = np.array(center, dtype=float, ndmin=1)
+    w = np.broadcast_to(np.asarray(halfwidth, dtype=float), center.shape)
     for _ in range(rounds):
-        for x in np.linspace(center - w, center + w, npts):
-            v = fn(x)
-            if v < best_v:
-                best_x, best_v = x, v
-        center = best_x
-        w *= 2.0 / (npts - 1)
-    return best_x, best_v
+        axes = [np.linspace(c - h, c + h, npts) for c, h in zip(center, w)]
+        grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+        vals = score(*grid)
+        k = int(np.argmin(vals))
+        if vals[k] < best:
+            best, center = vals[k], np.array([g[k] for g in grid])
+        w = w * shrink
+    return center, best
+
+
+def _sweep_gaps(space: NormedSpace, dual: NormedSpace, p: PairState, phi):
+    """Attainment pairs (y, g) at chart angles and the gaps |x - y|, |f - g|*."""
+    y = sphere_chart(space, phi)
+    g = space.support_rows(y)
+    return y, g, space.norm_rows(p.x - y), dual.norm_rows(p.f - g)
 
 
 def _hilbert_witness_candidates(x: np.ndarray, f: np.ndarray) -> list[np.ndarray]:
@@ -319,22 +321,20 @@ def _distance_core(space: NormedSpace, p: PairState, pi: PiSample,
     if level >= 2 and pi.sweep_angles is not None and best[0] > 0.0:
         step = 2.0 * math.pi / pi.sweep_count
         i_sweep = i0 if i0 < pi.sweep_count else int(np.argmin(vals[: pi.sweep_count]))
-        phi0 = float(pi.sweep_angles[i_sweep])
+        phi0 = pi.sweep_angles[i_sweep : i_sweep + 1]
 
-        def h(phi):
-            y = np.array([math.cos(phi), math.sin(phi)])
-            y = y / space.norm(y)
-            g = space.support(y)
-            return max(space.norm(p.x - y), dual.norm(p.f - g))
+        def score(phi):
+            return np.maximum(*_sweep_gaps(space, dual, p, phi)[2:])
 
         rounds, npts = 4, 13
-        phi_zoom, _ = _zoom_min(h, phi0, step, rounds=rounds, npts=npts)
+        (phi_zoom,), _ = _zoom(score, phi0, step, score(phi0)[0],
+                               rounds=rounds, npts=npts, shrink=2.0 / (npts - 1))
         w = step * (2.0 / (npts - 1)) ** rounds
-        phi_best, v = _golden_min(h, phi_zoom - 2.0 * w, phi_zoom + 2.0 * w, iters=50)
+        phi_best, v = _golden_min(lambda t: score(np.array([t]))[0],
+                                  phi_zoom - 2.0 * w, phi_zoom + 2.0 * w, iters=50)
         if v < best[0]:
-            y = np.array([math.cos(phi_best), math.sin(phi_best)])
-            y = y / space.norm(y)
-            best = (v, y, space.support(y))
+            y, g, _, _ = _sweep_gaps(space, dual, p, [phi_best])
+            best = (float(v), y[0], g[0])
 
     return PiWitness(np.array(best[1]), np.array(best[2]), best[0])
 
@@ -359,20 +359,18 @@ def distance_to_pi(space: NormedSpace, p: PairState,
 
 
 def _pair_distance_matrices(space, dual, xs, fs, pi):
-    nx, npi = len(xs), len(pi.points)
-    dx = np.empty((nx, npi))
+    """|x_i - y_k| and |f_j - g_k|* to every sampled pair (y_k, g_k), in blocks."""
+    npi = len(pi.points)
     block = max(1, 4_000_000 // max(npi, 1))
-    for lo in range(0, nx, block):
-        hi = min(nx, lo + block)
-        diff = xs[lo:hi, None, :] - pi.points[None, :, :]
-        dx[lo:hi] = space.norm_rows(diff.reshape(-1, space.dim)).reshape(hi - lo, npi)
-    nf = len(fs)
-    df = np.empty((nf, npi))
-    for lo in range(0, nf, block):
-        hi = min(nf, lo + block)
-        diff = fs[lo:hi, None, :] - pi.functionals[None, :, :]
-        df[lo:hi] = dual.norm_rows(diff.reshape(-1, space.dim)).reshape(hi - lo, npi)
-    return dx, df
+    out = []
+    for rows, targets, kernel in ((xs, pi.points, space.norm_rows),
+                                  (fs, pi.functionals, dual.norm_rows)):
+        d = np.empty((len(rows), npi))
+        for lo in range(0, len(rows), block):
+            diff = rows[lo : lo + block, None, :] - targets[None, :, :]
+            d[lo : lo + block] = kernel(diff.reshape(-1, space.dim)).reshape(-1, npi)
+        out.append(d)
+    return out
 
 
 def _sup_over_pairs(space, xs, fs, floor, pi, *,
@@ -410,17 +408,14 @@ def _sup_over_pairs(space, xs, fs, floor, pi, *,
     if not seeds:
         raise EmptyConstraintError("constraint set has no usable sampled pair")
 
-    def make_pair(x, f):
-        return PairState(x, f, space.norm(x), dual.norm(f), float(np.dot(f, x)))
-
-    def refined(x, f, level=1):
-        pr = make_pair(x, f)
-        w = _distance_core(space, pr, pi, level=level)
+    def refined(x, f):
+        pr = PairState(x, f, space.norm(x), dual.norm(f), float(np.dot(f, x)))
+        w = _distance_core(space, pr, pi, level=2)
         return w.distance, pr, w
 
     best = None
     for i, j in seeds:
-        v, pr, w = refined(xs[i], fs[j], level=2)
+        v, pr, w = refined(xs[i], fs[j])
         if best is None or v > best[0]:
             best = (v, pr, w, i, j)
 
@@ -435,32 +430,23 @@ def _sup_over_pairs(space, xs, fs, floor, pi, *,
             if rx == 0.0 and rf == 0.0:
                 continue
 
-            def eval_at(phix, phif):
-                ux = np.array([math.cos(phix), math.sin(phix)])
-                x = rx * ux / space.norm(ux)
-                uf = np.array([math.cos(phif), math.sin(phif)])
-                f = rf * uf / dual.norm(uf)
-                if float(np.dot(f, x)) < floor - 1e-12:
-                    return None
-                pr = make_pair(x, f)
-                return _distance_core(space, pr, pi, level=1).distance, x, f
+            def score(phix, phif, rx=rx, rf=rf):
+                # minus the level-1 distance; infeasible pairs score +inf
+                x, f = sphere_chart(space, phix, rx), sphere_chart(dual, phif, rf)
+                # row-wise np.dot(f, x): a stacked matmul keeps its bits, a sum does not
+                act = (f[:, None, :] @ x[:, :, None])[:, 0, 0]
+                nx, nf = space.norm_rows(x), dual.norm_rows(f)
+                out = np.full(len(x), np.inf)
+                for k in np.flatnonzero(act >= floor - 1e-12):
+                    pr = PairState(x[k], f[k], nx[k], nf[k], act[k])
+                    out[k] = -_distance_core(space, pr, pi, level=1).distance
+                return out
 
-            cx, cf = float(x_angles[i]), float(f_angles[j])
-            wx, wf = step_x, step_f
-            loc_best = None
-            for _ in range(refine_rounds):
-                grid = [(px, pf)
-                        for px in np.linspace(cx - wx, cx + wx, 5)
-                        for pf in np.linspace(cf - wf, cf + wf, 5)]
-                for px, pf in grid:
-                    r = eval_at(px, pf)
-                    if r is not None and (loc_best is None or r[0] > loc_best[0]):
-                        loc_best = r
-                        cx, cf = px, pf
-                wx *= 0.35
-                wf *= 0.35
-            if loc_best is not None:
-                v, pr, w = refined(loc_best[1], loc_best[2], level=2)
+            (cx, cf), v = _zoom(score, (x_angles[i], f_angles[j]), (step_x, step_f), np.inf,
+                                rounds=refine_rounds, npts=5, shrink=0.35)
+            if v < np.inf:
+                v, pr, w = refined(sphere_chart(space, [cx], rx)[0],
+                                   sphere_chart(dual, [cf], rf)[0])
                 if v > best[0]:
                     best = (v, pr, w, -1, -1)
 
@@ -469,16 +455,14 @@ def _sup_over_pairs(space, xs, fs, floor, pi, *,
 
 
 def _sphere_mesh(space, config):
+    """Unit-sphere mesh with its sweep angles (None above dimension 2)."""
     if space.dim == 2:
-        angles, pts = sphere_sample_angles(space, config.resolution)
-    else:
-        angles, pts = None, sphere_sample(space, config)
-    return angles, pts
+        return sphere_sample_angles(space, config.resolution)
+    return None, sphere_sample(space, config)
 
 
-def _ball_mesh(space, config):
-    """Radial-by-angular ball mesh including the origin and the sphere."""
-    angles, pts = _sphere_mesh(space, config)
+def _ball_mesh(space, config, angles, pts):
+    """Radial-by-angular ball mesh over a sphere mesh, with origin and sphere."""
     n_r = max(4, config.resolution // 64)
     radii = np.linspace(0.0, 1.0, n_r + 1)[1:]
     xs = np.concatenate([r * pts for r in radii], axis=0)
@@ -508,17 +492,14 @@ def hausdorff_modulus_set(space: NormedSpace, delta: float, mode: str,
     pi = _cached_pi_sample(space, config)
     dual = space.dual()
     floor = 1.0 - delta + config.delta_slack
-    if mode == "sphere":
-        x_angles, xs = _sphere_mesh(space, config)
-        f_angles, fs = _sphere_mesh(dual, config)
-        x_radii = f_radii = None
-        radial_gap = 0.0
-    else:
-        x_angles, x_radii, xs, dr_x = _ball_mesh(space, config)
-        f_angles, f_radii, fs, dr_f = _ball_mesh(dual, config)
-        radial_gap = max(dr_x, dr_f)
-    outer_gap = max(mesh_gap(space, sphere_sample(space, config), config.seed),
-                    mesh_gap(dual, sphere_sample(dual, config), config.seed)) + radial_gap
+    x_angles, xs = _sphere_mesh(space, config)
+    f_angles, fs = _sphere_mesh(dual, config)
+    outer_gap = max(mesh_gap(space, xs, config.seed), mesh_gap(dual, fs, config.seed))
+    x_radii = f_radii = None
+    if mode == "ball":
+        x_angles, x_radii, xs, dr_x = _ball_mesh(space, config, x_angles, xs)
+        f_angles, f_radii, fs, dr_f = _ball_mesh(dual, config, f_angles, fs)
+        outer_gap += max(dr_x, dr_f)
     return _sup_over_pairs(space, xs, fs, floor, pi,
                            x_angles=x_angles, x_radii=x_radii,
                            f_angles=f_angles, f_radii=f_radii,

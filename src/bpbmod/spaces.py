@@ -43,6 +43,7 @@ __all__ = [
     "dual_norm",
     "support_functional",
     "dual_space",
+    "sphere_chart",
     "sphere_sample",
     "sphere_sample_angles",
     "mesh_gap",
@@ -138,10 +139,11 @@ class NormedSpace:
         At non-smooth points the barycentric center of the subdifferential
         face is returned, so the output is deterministic.
         """
-        v = as_vector(v, self.dim)
-        if not v.any():
+        v = as_vector(v, self.dim)[None, :]
+        # a zero norm, not only the zero vector: tiny vectors underflow to it
+        if self.norm_rows(v)[0] == 0.0:
             raise SpaceError("support functional undefined at the origin")
-        return self.support_rows(v[None, :])[0]
+        return self.support_rows(v)[0]
 
     def action(self, f, v) -> float:
         """Evaluate the functional f on the vector v (dot product)."""
@@ -213,7 +215,8 @@ class Lp(NormedSpace):
     def norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
         a = np.abs(rows)
-        if self.p == math.inf:
+        # one coordinate: |a| for every p, exact even where a * a underflows
+        if self.p == math.inf or self.dim == 1:
             return a.max(axis=1)
         if self.p == 1.0:
             return a.sum(axis=1)
@@ -308,25 +311,30 @@ class Polytope(NormedSpace):
         object.__setattr__(self, "_hull_vertex_ids", hull.vertices)
         return normals, offsets
 
+    def _facet_ratios(self, rows):
+        normals, offsets = self._facets
+        ratios = _row_products(rows, normals)
+        ratios /= offsets
+        return ratios
+
     def norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
         # the gauge is the largest facet ratio of the H-form
-        normals, offsets = self._facets
-        return np.maximum((rows @ normals.T) / offsets, 0.0).max(axis=1)
+        return np.maximum(self._facet_ratios(rows).max(axis=1), 0.0)
 
     def dual_norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
         # sup over the ball equals the max over the vertex list
-        return (rows @ self.vertices.T).max(axis=1)
+        return _row_products(rows, self.vertices).max(axis=1)
 
     def support_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
         normals, offsets = self._facets
         pts = rows / self.norm_rows(rows)[:, None]
-        residual = (pts @ normals.T) / offsets  # 1 on active facets
-        active = residual >= 1.0 - 1e-9
+        active = self._facet_ratios(pts) >= 1.0 - _TIE_TOL  # ratio 1 on active facets
         # mean of the active facet functionals
-        return (active @ (normals / offsets[:, None])) / active.sum(axis=1)[:, None]
+        total = _row_products(active, (normals / offsets[:, None]).T)
+        return total / active.sum(axis=1)[:, None]
 
     def dual(self):
         normals, offsets = self._facets
@@ -348,6 +356,20 @@ class Polytope(NormedSpace):
             "dim": self.dim,
             "vertices": [[float(c) for c in row] for row in self.vertices],
         }
+
+
+def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat.T`` summed column by column, in place.
+
+    Each entry then depends on its own row only; a BLAS product changes
+    the last bit with the batch it is part of.
+    """
+    out = rows[:, :1] * mat[:, 0]
+    term = np.empty_like(out)
+    for j in range(1, rows.shape[1]):
+        np.multiply(rows[:, j : j + 1], mat[:, j], out=term)
+        out += term
+    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -487,14 +509,24 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
+def sphere_chart(space: NormedSpace, angles, radius: float = 1.0) -> np.ndarray:
+    """The 2-d angular chart: rows ``radius * u / |u|`` at u = (cos t, sin t).
+
+    Every angle-to-sphere step in the package goes through this map, so a
+    refined point is bitwise the point the sample holds at the same angle.
+    Each row depends on its own angle only, whatever the batch.
+    """
+    angles = np.asarray(angles, dtype=float)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    return radius * dirs / space.norm_rows(dirs)[:, None]
+
+
 def sphere_sample_angles(space: NormedSpace, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """2-d sweep: evenly spaced angles and gauge-normalized points."""
+    """2-d sweep: evenly spaced angles and their chart points."""
     if space.dim != 2:
         raise SpaceError("angular sweep requires a 2-d space")
     angles = np.arange(resolution) * (2.0 * math.pi / resolution)
-    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    pts = dirs / space.norm_rows(dirs)[:, None]
-    return angles, pts
+    return angles, sphere_chart(space, angles)
 
 
 def sphere_sample(space: NormedSpace, config: EstimatorConfig) -> np.ndarray:

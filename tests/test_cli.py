@@ -214,12 +214,32 @@ README_EXAMPLES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
-def test_readme_examples_match_golden(name, monkeypatch, capsys):
+# commands whose outputs pin refinement paths the README examples do not
+# reach: the ball-mode and lp alpha zooms and the corrector's sweep zoom
+REFINEMENT_EXAMPLES = {
+    "modulus_ball": "modulus --space linf:2 --mode ball --delta 0.5 --resolution 160",
+    "alpha_lp": "alpha --space lp:2:p=1.5 --resolution 160",
+    "corrector_lp": "corrector --space lp:2:p=1.5 --x 0.7651485317423954,0.47821783233899706"
+                    " --f 0.9879506340125244,0.32931687800417475 --delta 0.1 --k 0.0003"
+                    " --alpha-tilde 0.58",
+}
+
+
+def _assert_golden(name, argv, monkeypatch, capsys):
     monkeypatch.delenv("BPB_SEED", raising=False)
-    code, out = run(capsys, *README_EXAMPLES[name].split())
+    code, out = run(capsys, *argv.split())
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_examples_match_golden(name, monkeypatch, capsys):
+    _assert_golden(name, README_EXAMPLES[name], monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(REFINEMENT_EXAMPLES))
+def test_refinement_examples_match_golden(name, monkeypatch, capsys):
+    _assert_golden(name, REFINEMENT_EXAMPLES[name], monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from bpbmod import (DimensionMismatchError, EstimatorConfig, Lp, Polytope,
                     SpaceError, SpaceSpecError, Sum1, SumInf, describe_json,
                     dual_norm, dual_space, norm, parse_space, sphere_sample,
                     support_functional)
+from bpbmod.spaces import sphere_chart
 from bpbmod.verify import polytope_gauge_lp_oracle
 
 RNG = np.random.default_rng(20240810)
@@ -115,6 +116,9 @@ def test_support_l1_sign_vector(l1):
 def test_support_rejects_zero(l2):
     with pytest.raises(SpaceError):
         support_functional(l2, [0.0, 0.0])
+    # nonzero, but its euclidean norm underflows to 0
+    with pytest.raises(SpaceError):
+        support_functional(l2, [1e-200, 0.0])
 
 
 def test_support_barycentric_at_linf_vertex(linf):
@@ -154,6 +158,37 @@ def test_support_rows_match_scalar_dim3(spec):
         np.testing.assert_array_equal(f_row, support_functional(space, v))
         assert float(np.dot(f_row, v)) == pytest.approx(norm(space, v), abs=1e-9)
         assert dual_norm(space, f_row) == pytest.approx(1.0, abs=1e-9)
+
+
+def _cube():
+    return _symmetric([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]])
+
+
+KERNEL_SPACES = {
+    "l1": lambda: Lp(1.0, 2), "l2": lambda: Lp(2.0, 2), "linf": lambda: Lp(math.inf, 2),
+    "lp:2:p=1.5": lambda: parse_space("lp:2:p=1.5"),
+    "hexagon": lambda: Polytope(np.array([[math.cos(k * math.pi / 3.0),
+                                           math.sin(k * math.pi / 3.0)] for k in range(6)])),
+    "sum1_rr": lambda: parse_space("sum1(r:1,r:1)"),
+    "suminf_rr": lambda: parse_space("suminf(r:1,r:1)"),
+    "lp:3:p=1.5": lambda: parse_space("lp:3:p=1.5"), "linf:3": lambda: parse_space("linf:3"),
+    "sum1(l2:2,r:1)": lambda: parse_space("sum1(l2:2,r:1)"),
+    "suminf(l1:2,r:1)": lambda: parse_space("suminf(l1:2,r:1)"),
+    "cube": _cube,
+    "octahedron": lambda: _symmetric(np.eye(3)),
+    "random3": lambda: _symmetric(np.random.default_rng(3).standard_normal((9, 3))),
+}
+
+
+@pytest.mark.parametrize("key", sorted(KERNEL_SPACES))
+def test_row_kernels_do_not_depend_on_the_batch(key):
+    space = KERNEL_SPACES[key]()
+    rows = np.vstack([np.random.default_rng(11).standard_normal((13, space.dim)),
+                      np.ones((1, space.dim))])
+    for kernel in (space.norm_rows, space.dual_norm_rows, space.support_rows):
+        batch = kernel(rows)
+        for i in range(len(rows)):
+            np.testing.assert_array_equal(batch[i], kernel(rows[i : i + 1])[0])
 
 
 def test_support_rows_on_ties(linf, sum1_rr, suminf_rr):
@@ -244,6 +279,33 @@ def test_norm_axioms_hexagon(u, v, lam, hexagon):
 def test_norm_axioms_lp(u, v):
     space = Lp(2.5, 3)
     assert norm(space, u + v) <= norm(space, u) + norm(space, v) + 1e-9
+
+
+TWO_D_KINDS = ["l1", "l2", "linf", "lp:2:p=1.5", "hexagon", "sum1_rr", "suminf_rr"]
+angles = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@pytest.mark.parametrize("key", TWO_D_KINDS)
+@given(phi=st.lists(angles, min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_chart_points_are_attainment_pairs(key, phi):
+    space = KERNEL_SPACES[key]()
+    pts = sphere_chart(space, phi)
+    funcs = space.support_rows(pts)
+    np.testing.assert_allclose(space.norm_rows(pts), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(space.dual_norm_rows(funcs), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose((funcs * pts).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("key", TWO_D_KINDS + ["lp:3:p=1.5", "sum1(l2:2,r:1)", "cube"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_bidual_gives_back_the_norm(key, data):
+    space = KERNEL_SPACES[key]()
+    rows = np.array([data.draw(vectors(dim=space.dim)) for _ in range(4)])
+    expected = space.norm_rows(rows)
+    np.testing.assert_allclose(space.dual().dual().norm_rows(rows), expected,
+                               rtol=0, atol=1e-12 * max(1.0, expected.max()))
 
 
 # ---------------------------------------------------------------------------
