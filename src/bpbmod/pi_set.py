@@ -320,21 +320,30 @@ def _distance_core(space: NormedSpace, p: PairState, pi: PiSample,
 
     if level >= 2 and pi.sweep_angles is not None and best[0] > 0.0:
         step = 2.0 * math.pi / pi.sweep_count
-        i_sweep = i0 if i0 < pi.sweep_count else int(np.argmin(vals[: pi.sweep_count]))
-        phi0 = pi.sweep_angles[i_sweep : i_sweep + 1]
+        # zoom into the best sweep sample and the two lowest other local
+        # minima of the cyclic sweep profile
+        profile = vals[: pi.sweep_count]
+        i_sweep = int(np.argmin(profile))
+        minima = np.flatnonzero((profile < np.roll(profile, 1)) & (profile <= np.roll(profile, -1)))
+        minima = minima[np.argsort(profile[minima], kind="stable")]
+        basins = [i_sweep] + [int(i) for i in minima if i != i_sweep][:2]
 
         def score(phi):
             return np.maximum(*_sweep_gaps(space, dual, p, phi)[2:])
 
         rounds, npts = 4, 13
-        (phi_zoom,), _ = _zoom(score, phi0, step, score(phi0)[0],
-                               rounds=rounds, npts=npts, shrink=2.0 / (npts - 1))
+        starts = [pi.sweep_angles[i : i + 1] for i in basins]
+        zoomed = [_zoom(score, phi0, step, score(phi0)[0], rounds=rounds, npts=npts,
+                        shrink=2.0 / (npts - 1)) for phi0 in starts]
+        # polish the best sample's basin, and the best zoomed one if it is another
+        k = min(range(len(zoomed)), key=lambda k: zoomed[k][1])
         w = step * (2.0 / (npts - 1)) ** rounds
-        phi_best, v = _golden_min(lambda t: score(np.array([t]))[0],
-                                  phi_zoom - 2.0 * w, phi_zoom + 2.0 * w, iters=50)
-        if v < best[0]:
-            y, g, _, _ = _sweep_gaps(space, dual, p, [phi_best])
-            best = (float(v), y[0], g[0])
+        for (phi_zoom,), _ in [zoomed[0]] + [zoomed[k]] * (k > 0):
+            phi_best, v = _golden_min(lambda t: score(np.array([t]))[0],
+                                      phi_zoom - 2.0 * w, phi_zoom + 2.0 * w, iters=50)
+            if v < best[0]:
+                y, g, _, _ = _sweep_gaps(space, dual, p, [phi_best])
+                best = (float(v), y[0], g[0])
 
     return PiWitness(np.array(best[1]), np.array(best[2]), best[0])
 

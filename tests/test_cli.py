@@ -215,10 +215,12 @@ README_EXAMPLES = {
 
 
 # commands whose outputs pin refinement paths the README examples do not
-# reach: the ball-mode and lp alpha zooms and the corrector's sweep zoom
+# reach: the ball-mode and lp alpha zooms, a distance whose sweep profile
+# has two basins, and the corrector's sweep zoom
 REFINEMENT_EXAMPLES = {
     "modulus_ball": "modulus --space linf:2 --mode ball --delta 0.5 --resolution 160",
     "alpha_lp": "alpha --space lp:2:p=1.5 --resolution 160",
+    "distance_lp": "distance --space lp:2:p=1.5 --x 1,0.3 --f 0.2,1",
     "corrector_lp": "corrector --space lp:2:p=1.5 --x 0.7651485317423954,0.47821783233899706"
                     " --f 0.9879506340125244,0.32931687800417475 --delta 0.1 --k 0.0003"
                     " --alpha-tilde 0.58",

@@ -5,7 +5,7 @@ import pytest
 
 from bpbmod import (EstimatorConfig, HilbertPair, distance_to_pi,
                     hausdorff_modulus_set, hilbert_distance, is_in_pi,
-                    pair_state, sample_pi)
+                    pair_state, parse_space, sample_pi)
 from bpbmod.pi_set import build_pi_sample
 
 RNG = np.random.default_rng(20240810)
@@ -136,6 +136,15 @@ def test_distance_refinement_improves_with_resolution(hexagon):
     coarse = distance_to_pi(hexagon, p, EstimatorConfig(resolution=200)).distance
     fine = distance_to_pi(hexagon, p, EstimatorConfig(resolution=400)).distance
     assert fine <= coarse + 1e-9
+
+
+def test_distance_refines_every_low_basin(cfg):
+    # the best sweep sample sits in the wrong basin: a brute force over
+    # 32,768 attainment pairs finds 1.027198 near angle -3.102, while a
+    # refinement of that sample's basin alone stops at 1.028440 near 0.595
+    space = parse_space("lp:2:p=1.5")
+    p = pair_state(space, [0.02849297, -0.07210207], [-0.1653306, 0.59920069])
+    assert distance_to_pi(space, p, cfg).distance <= 1.027198
 
 
 def test_distance_real_line(r1, cfg):
