@@ -10,6 +10,12 @@ Pi(X) (covering the face structure of polytopal balls in two dimensions),
 computes certified-upper-bound distances with local refinement, and runs the
 grid suprema that estimate the almost-attainment moduli.
 
+Two-dimensional refinement runs in angles through one chart,
+``spaces.sphere_chart`` with ``support_rows``, and one grid zoom, ``_zoom``,
+which scores each round's whole grid in one array call.  A distance zooms
+into up to three basins of the cyclic sweep profile (the best sample and the
+two lowest other local minima), then polishes by golden section.
+
 Estimators are deterministic for a fixed seed and resolution: reductions
 break ties by lowest sample index.
 """
@@ -422,15 +428,8 @@ def _sup_over_pairs(space, xs, fs, floor, pi, *,
         w = _distance_core(space, pr, pi, level=2)
         return w.distance, pr, w
 
-    best = None
-    for i, j in seeds:
-        v, pr, w = refined(xs[i], fs[j])
-        if best is None or v > best[0]:
-            best = (v, pr, w, i, j)
-
-    can_zoom = (space.dim == 2 and x_angles is not None and f_angles is not None
-                and refine_rounds > 0)
-    if can_zoom and best is not None:
+    best = max((refined(xs[i], fs[j]) for i, j in seeds), key=lambda b: b[0])
+    if x_angles is not None and refine_rounds > 0:  # 2-d: zoom over both sweep angles
         step_x = 2.0 * math.pi / max(1, len(np.unique(np.round(x_angles, 12))))
         step_f = 2.0 * math.pi / max(1, len(np.unique(np.round(f_angles, 12))))
         for i, j in seeds:
@@ -454,10 +453,9 @@ def _sup_over_pairs(space, xs, fs, floor, pi, *,
             (cx, cf), v = _zoom(score, (x_angles[i], f_angles[j]), (step_x, step_f), np.inf,
                                 rounds=refine_rounds, npts=5, shrink=0.35)
             if v < np.inf:
-                v, pr, w = refined(sphere_chart(space, [cx], rx)[0],
-                                   sphere_chart(dual, [cf], rf)[0])
-                if v > best[0]:
-                    best = (v, pr, w, -1, -1)
+                cand = refined(sphere_chart(space, [cx], rx)[0], sphere_chart(dual, [cf], rf)[0])
+                if cand[0] > best[0]:
+                    best = cand
 
     mesh_error = outer_gap / 2.0 + pi.gap / 2.0
     return ModulusEstimate(best[0], mesh_error, best[1], best[2])

@@ -311,16 +311,11 @@ class Polytope(NormedSpace):
         object.__setattr__(self, "_hull_vertex_ids", hull.vertices)
         return normals, offsets
 
-    def _facet_ratios(self, rows):
-        normals, offsets = self._facets
-        ratios = _row_products(rows, normals)
-        ratios /= offsets
-        return ratios
-
     def norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
         # the gauge is the largest facet ratio of the H-form
-        return np.maximum(self._facet_ratios(rows).max(axis=1), 0.0)
+        normals, offsets = self._facets
+        return np.maximum((_row_products(rows, normals) / offsets).max(axis=1), 0.0)
 
     def dual_norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
@@ -331,7 +326,7 @@ class Polytope(NormedSpace):
         rows = np.asarray(rows, dtype=float)
         normals, offsets = self._facets
         pts = rows / self.norm_rows(rows)[:, None]
-        active = self._facet_ratios(pts) >= 1.0 - _TIE_TOL  # ratio 1 on active facets
+        active = _row_products(pts, normals) / offsets >= 1.0 - _TIE_TOL  # ratio 1: active
         # mean of the active facet functionals
         total = _row_products(active, (normals / offsets[:, None]).T)
         return total / active.sum(axis=1)[:, None]
