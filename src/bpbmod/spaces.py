@@ -326,7 +326,8 @@ class Polytope(NormedSpace):
         rows = np.asarray(rows, dtype=float)
         normals, offsets = self._facets
         pts = rows / self.norm_rows(rows)[:, None]
-        active = _row_products(pts, normals) / offsets >= 1.0 - _TIE_TOL  # ratio 1: active
+        # active facets: ratio 1 up to the tie tolerance
+        active = _row_products(pts, normals) / offsets >= 1.0 - _TIE_TOL
         # mean of the active facet functionals
         total = _row_products(active, (normals / offsets[:, None]).T)
         return total / active.sum(axis=1)[:, None]
