@@ -27,7 +27,7 @@ from .closed_forms import (ModulusQuery, RegimeError, hilbert_distance, HilbertP
 from .moduli import (CorrectorSearchError, bpb_corrector, check_alpha_self_dual,
                      collapse_k, convexity_profile, estimate_alpha, estimate_phi,
                      estimate_phi_mut)
-from .pi_set import EmptyConstraintError, distance_to_pi, pair_state
+from .pi_set import EmptyConstraintError, SweepTooLargeError, distance_to_pi, pair_state
 from .spaces import EstimatorConfig, Lp, NormedSpace, Sum1, SumInf, describe, parse_space
 from .verify import run_suite
 from .witnesses import linf2_witness, real_witness, sum1_witness, suminf_witness
@@ -76,8 +76,8 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy's float64 too, which reprs as np.float64(...)
+        return repr(float(value))
     return str(value)
 
 
@@ -225,6 +225,8 @@ def cmd_modulus(args) -> int:
             row["estimate"] = est.value
             row["mesh_error"] = est.mesh_error
             row["sqrt_2delta"] = math.sqrt(2.0 * delta)
+        except SweepTooLargeError:
+            raise  # no delta can run at this resolution
         except (RegimeError, EmptyConstraintError, ValueError) as exc:
             row.update(estimate=None, mesh_error=None,
                        sqrt_2delta=math.sqrt(2.0 * delta), closed_form=None,

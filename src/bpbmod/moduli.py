@@ -16,7 +16,7 @@ import numpy as np
 from .closed_forms import ALPHA_CEILING, ModulusQuery, RegimeError
 from .pi_set import (EmptyConstraintError, ModulusEstimate, PairState, PiWitness,
                      _cached_pi_sample, _golden_min, _sphere_mesh, _sup_over_pairs,
-                     _sweep_gaps, _zoom)
+                     _sweep_gaps, _tile_rows, _zoom)
 # the modulus at level delta in ball or sphere mode, under its short name
 from .pi_set import hausdorff_modulus_set as estimate_phi
 from .spaces import EstimatorConfig, NormedSpace, SpaceError, mesh_gap, sphere_chart
@@ -36,6 +36,10 @@ __all__ = [
     "bpb_corrector",
     "collapse_k",
 ]
+
+# Sphere points of the alpha and convexity sweeps above dimension 2:
+# resolution 64 in 3-d, 16 in 4-d.
+_ALPHA_POINTS_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -112,26 +116,24 @@ def estimate_phi_mut(space: NormedSpace, q: ModulusQuery,
 # Non-squareness parameter and modulus of convexity
 
 
-def _pair_norm_profile(space: NormedSpace, pts: np.ndarray):
-    """Norms |x_i + x_j| and |x_i - x_j| for all sample pairs, chunked."""
-    n = len(pts)
-    sums = np.empty((n, n))
-    diffs = np.empty((n, n))
-    block = max(1, 2_000_000 // max(n, 1))
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        plus = pts[lo:hi, None, :] + pts[None, :, :]
-        minus = pts[lo:hi, None, :] - pts[None, :, :]
-        sums[lo:hi] = space.norm_rows(plus.reshape(-1, space.dim)).reshape(hi - lo, n)
-        diffs[lo:hi] = space.norm_rows(minus.reshape(-1, space.dim)).reshape(hi - lo, n)
-    return sums, diffs
+def _pair_norm_tiles(space: NormedSpace, pts: np.ndarray):
+    """Yield ``(lo, |x_i + x_j|, |x_i - x_j|)`` for tiles of rows i >= lo and all j."""
+    n, dim = pts.shape
+    step = _tile_rows(n * dim)
+    for lo in range(0, n, step):
+        block = pts[lo : lo + step, None, :]
+        sums = space.norm_rows((block + pts[None, :, :]).reshape(-1, dim))
+        diffs = space.norm_rows((block - pts[None, :, :]).reshape(-1, dim))
+        yield lo, sums.reshape(-1, n), diffs.reshape(-1, n)
 
 
 def _alpha_points(space: NormedSpace, config: EstimatorConfig):
     """Sphere mesh and sweep angles for the pair sweeps."""
-    # pair enumeration is quadratic; cap the sphere mesh above dimension 2
+    # pair enumeration is quadratic; above dimension 2 the mesh has
+    # resolution ** (dim - 1) points, capped at _ALPHA_POINTS_MAX
     if space.dim > 2:
-        config = replace(config, resolution=min(config.resolution, 64))
+        cap = int(round(_ALPHA_POINTS_MAX ** (1.0 / (space.dim - 1))))
+        config = replace(config, resolution=min(config.resolution, cap))
     return _sphere_mesh(space, config)
 
 
@@ -144,11 +146,14 @@ def estimate_alpha(space: NormedSpace,
     sampling is audited separately, not assumed (audit_alpha_interior).
     """
     angles, pts = _alpha_points(space, config)
-    sums, diffs = _pair_norm_profile(space, pts)
-    obj = (sums + diffs) / 2.0
-    flat = int(np.argmax(obj))
-    i0, j0 = divmod(flat, len(pts))
-    best = float(obj[i0, j0])
+    # running argmax that moves on strict improvement: the first flat index wins
+    best, i0, j0 = -math.inf, 0, 0
+    for lo, sums, diffs in _pair_norm_tiles(space, pts):
+        obj = (sums + diffs) / 2.0
+        k = int(np.argmax(obj))
+        if obj.flat[k] > best:
+            best = float(obj.flat[k])
+            i0, j0 = lo + k // len(pts), k % len(pts)
     bx, by = pts[i0].copy(), pts[j0].copy()
 
     if angles is not None:
@@ -189,19 +194,26 @@ def convexity_profile(space: NormedSpace, eps_values,
     never overshoots the constrained supremum because that supremum is
     non-increasing in the separation.
     """
-    _, pts = _alpha_points(space, config)
-    sums, diffs = _pair_norm_profile(space, pts)
-    gap = mesh_gap(space, pts, config.seed)
-    band = 2.0 * gap
-    reports = []
+    eps_values = list(eps_values)
     for eps in eps_values:
         if not (0.0 < eps <= 2.0):
             raise ValueError(f"eps must be in (0, 2], got {eps}")
-        mask = (diffs >= eps - 1e-12) & (diffs <= eps + band)
-        if not mask.any():
+    _, pts = _alpha_points(space, config)
+    gap = mesh_gap(space, pts, config.seed)
+    band = 2.0 * gap
+    # running max of the midpoint norm per eps; None while no pair is in band
+    tops = [None] * len(eps_values)
+    for _, sums, diffs in _pair_norm_tiles(space, pts):
+        for e, eps in enumerate(eps_values):
+            mask = (diffs >= eps - 1e-12) & (diffs <= eps + band)
+            if mask.any():
+                top = float((sums[mask] / 2.0).max())
+                tops[e] = top if tops[e] is None else max(tops[e], top)
+    reports = []
+    for eps, best in zip(eps_values, tops):
+        if best is None:
             raise EmptyConstraintError(
                 f"no sphere pair with separation within [{eps}, {eps + band}]")
-        best = float((sums[mask] / 2.0).max())
         reports.append(ConvexityReport(eps=eps, delta_x=max(0.0, 1.0 - best),
                                        mesh_error=band + gap))
     return reports

@@ -16,6 +16,15 @@ which scores each round's whole grid in one array call.  A distance zooms
 into up to three basins of the cyclic sweep profile (the best sample and the
 two lowest other local minima), then polishes by golden section.
 
+The grid suprema stream over fixed-size tiles of x rows in two passes.
+The first pass tests the action only, marking the x rows and functionals
+with a feasible partner.  Distance rows are then built for the marked
+functionals alone, and the second pass builds each tile's point distances
+for its marked rows and reduces them row by row.  The one array that grows
+with the mesh is the functionals' distance rows, N_f x N_pi; a sweep that
+would need more than 1 GiB for it raises ``SweepTooLargeError``, a regime
+error, before any work.
+
 Estimators are deterministic for a fixed seed and resolution: reductions
 break ties by lowest sample index.
 """
@@ -28,6 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .closed_forms import RegimeError
 from .spaces import (EstimatorConfig, Lp, NormedSpace, as_vector, mesh_gap,
                      sphere_chart, sphere_sample, sphere_sample_angles)
 
@@ -36,6 +46,7 @@ __all__ = [
     "PiWitness",
     "ModulusEstimate",
     "EmptyConstraintError",
+    "SweepTooLargeError",
     "pair_state",
     "is_in_pi",
     "sample_pi",
@@ -44,10 +55,19 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Float64 values in one scratch tile of the streamed pair sweeps (1 MiB).
+_TILE_ELEMS = 1 << 17
+# Ceiling on the distance rows of a pair sweep, the one array it keeps
+# whose size grows with the mesh.
+_DF_BYTES_MAX = 1 << 30
 
 
 class EmptyConstraintError(ValueError):
     """No sampled pair satisfies the almost-attainment constraint."""
+
+
+class SweepTooLargeError(RegimeError):
+    """A pair sweep would need more memory than its ceiling allows."""
 
 
 @dataclass(frozen=True)
@@ -373,19 +393,79 @@ def distance_to_pi(space: NormedSpace, p: PairState,
 # Grid suprema over almost-attainment constraint sets
 
 
-def _pair_distance_matrices(space, dual, xs, fs, pi):
-    """|x_i - y_k| and |f_j - g_k|* to every sampled pair (y_k, g_k), in blocks."""
-    npi = len(pi.points)
-    block = max(1, 4_000_000 // max(npi, 1))
-    out = []
-    for rows, targets, kernel in ((xs, pi.points, space.norm_rows),
-                                  (fs, pi.functionals, dual.norm_rows)):
-        d = np.empty((len(rows), npi))
-        for lo in range(0, len(rows), block):
-            diff = rows[lo : lo + block, None, :] - targets[None, :, :]
-            d[lo : lo + block] = kernel(diff.reshape(-1, space.dim)).reshape(-1, npi)
-        out.append(d)
+def _tile_rows(width: int) -> int:
+    """Rows of ``width`` values that fit in one scratch tile."""
+    return max(1, _TILE_ELEMS // max(width, 1))
+
+
+def _distance_rows(kernel, rows, targets, out):
+    """out[i, k] = kernel(rows[i] - targets[k]), in tiles of difference rows."""
+    npi, dim = targets.shape
+    step = _tile_rows(npi * dim)
+    for lo in range(0, len(rows), step):
+        diff = rows[lo : lo + step, None, :] - targets[None, :, :]
+        out[lo : lo + step] = kernel(diff.reshape(-1, dim)).reshape(-1, npi)
     return out
+
+
+def _scan_pairs(space, dual, xs, fs, floor, pi):
+    """Per x row, the max over feasible j of min_k max(|x_i - y_k|, |f_j - g_k|*).
+
+    Returns ``(best_val, best_j)``: argmax ties go to the lowest j, and a row
+    with no feasible j keeps -inf.  Two passes over x-row tiles: the first
+    only marks the rows and columns with a feasible partner; the distance
+    rows ``df`` are then built for the marked columns alone, and the second
+    pass builds each tile's ``dx`` for its marked rows and reduces row by row
+    through scratch buffers allocated once.  No array has N_x x N_f entries.
+    """
+    npi, dim = pi.points.shape
+    need = len(fs) * npi * 8
+    if need > _DF_BYTES_MAX:
+        raise SweepTooLargeError(
+            f"the pair sweep needs {need / 2**30:.1f} GiB of distance rows "
+            f"(ceiling {_DF_BYTES_MAX / 2**30:.0f} GiB); lower --resolution")
+    thr = floor - 1e-12
+    step = _tile_rows(max(len(fs), npi * dim))
+    # every pass tiles the action identically: a BLAS product's last bit
+    # depends on the shape of the call
+    tiles = [(lo, min(lo + step, len(xs))) for lo in range(0, len(xs), step)]
+
+    rows_ok = np.zeros(len(xs), dtype=bool)
+    cols_ok = np.zeros(len(fs), dtype=bool)
+    for lo, hi in tiles:
+        feas = xs[lo:hi] @ fs.T >= thr
+        rows_ok[lo:hi] = feas.any(axis=1)
+        cols_ok |= feas.any(axis=0)
+    if not cols_ok.any():
+        raise EmptyConstraintError(
+            f"no sampled pair satisfies action >= {floor} (resolution too low)")
+
+    cols = np.flatnonzero(cols_ok)
+    df = _distance_rows(dual.norm_rows, fs[cols], pi.functionals, np.empty((len(cols), npi)))
+    best_val = np.full(len(xs), -np.inf)
+    best_j = np.zeros(len(xs), dtype=int)
+    dx = np.empty((min(step, len(xs)), npi))
+    chunk = min(_tile_rows(npi), len(cols))
+    buf = np.empty((chunk, npi))
+    vals = np.empty(len(cols))
+    for lo, hi in tiles:
+        rows = np.flatnonzero(rows_ok[lo:hi])
+        if rows.size == 0:
+            continue
+        feas = (xs[lo:hi] @ fs.T >= thr)[np.ix_(rows, cols)]
+        _distance_rows(space.norm_rows, xs[lo + rows], pi.points, dx[: len(rows)])
+        for r, i in enumerate(lo + rows):
+            js = np.flatnonzero(feas[r])
+            # per row work is |js| x N_pi, in chunks that fit the scratch buffer
+            for c in range(0, len(js), chunk):
+                b = buf[: min(chunk, len(js) - c)]
+                np.take(df, js[c : c + chunk], axis=0, out=b, mode="clip")
+                np.maximum(dx[r], b, out=b)
+                b.min(axis=1, out=vals[c : c + len(b)])
+            k = int(np.argmax(vals[: len(js)]))
+            best_val[i] = vals[k]
+            best_j[i] = cols[js[k]]
+    return best_val, best_j
 
 
 def _sup_over_pairs(space, xs, fs, floor, pi, *,
@@ -398,25 +478,7 @@ def _sup_over_pairs(space, xs, fs, floor, pi, *,
     deterministic: the argmax tie-breaks to the lowest (i, j).
     """
     dual = pi.dual
-    act = xs @ fs.T
-    feasible = act >= floor - 1e-12
-    if not feasible.any():
-        raise EmptyConstraintError(
-            f"no sampled pair satisfies action >= {floor} (resolution too low)")
-
-    dx, df = _pair_distance_matrices(space, dual, xs, fs, pi)
-    nx = len(xs)
-    best_val = np.full(nx, -np.inf)
-    best_j = np.zeros(nx, dtype=int)
-
-    for i in range(nx):
-        js = np.nonzero(feasible[i])[0]
-        if js.size == 0:
-            continue
-        vals = np.maximum(dx[i][None, :], df[js]).min(axis=1)
-        k = int(np.argmax(vals))
-        best_val[i] = vals[k]
-        best_j[i] = js[k]
+    best_val, best_j = _scan_pairs(space, dual, xs, fs, floor, pi)
 
     order = np.argsort(-best_val, kind="stable")[:top_k]
     seeds = [(int(i), int(best_j[i])) for i in order if np.isfinite(best_val[i])]

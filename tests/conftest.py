@@ -54,6 +54,16 @@ def suminf_rr(r1):
 
 
 @pytest.fixture(scope="session")
+def sweep_spaces(l2, linf, hexagon, sum1_rr):
+    """2-d and 3-d kinds for the streamed-sweep oracle tests, by name."""
+    cube = Polytope(np.array([[a, b, c] for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                              for c in (-1.0, 1.0)]))
+    return {"l2:2": l2, "linf:2": linf, "hexagon": hexagon, "sum1(r:1,r:1)": sum1_rr,
+            "l2:3": Lp(2.0, 3), "linf:3": Lp(math.inf, 3),
+            "sum1(l2:2,r:1)": Sum1(Lp(2.0, 2), Lp(2.0, 1)), "cube": cube}
+
+
+@pytest.fixture(scope="session")
 def cfg():
     return EstimatorConfig(resolution=400)
 

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -268,3 +271,25 @@ def test_threads_flag_does_not_change_output(monkeypatch, capsys):
     monkeypatch.setenv("BPB_THREADS", "4")
     _, env = run(capsys, *argv)
     assert one == two == env
+
+
+def test_modulus_beyond_the_memory_ceiling_exits_3(capsys):
+    # 160,000 sphere points a side at the default resolution: the distance
+    # rows alone would take 191 GiB
+    start = time.perf_counter()
+    assert exit_code("modulus --space l2:3 --mode sphere --delta 0.5".split()) == 3
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("regime error:")
+    assert "GiB" in lines[0] and "--resolution" in lines[0]
+
+
+def test_alpha_dim4_runs_at_the_capped_resolution(capsys):
+    code, out = run(capsys, "alpha", "--space", "l2:4")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert abs(float(row["alpha"]) - (2.0 - math.sqrt(2.0))) <= float(row["mesh_error"])

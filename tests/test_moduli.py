@@ -1,14 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bpbmod import (CorrectorSearchError, EstimatorConfig, Lp, ModulusQuery,
-                    RegimeError, bpb_corrector, check_alpha_self_dual, collapse_k,
-                    estimate_alpha, estimate_convexity_modulus, estimate_phi,
-                    estimate_phi_mut, hilbert_modulus, is_in_pi, pair_state,
+from bpbmod import (CorrectorSearchError, EmptyConstraintError, EstimatorConfig, Lp,
+                    ModulusQuery, RegimeError, bpb_corrector,
+                    check_alpha_self_dual, collapse_k, estimate_alpha,
+                    estimate_convexity_modulus, estimate_phi, estimate_phi_mut,
+                    hilbert_modulus, is_in_pi, pair_state, parse_space,
                     phi_lower_bound, phi_upper_bound)
+from bpbmod import moduli, pi_set
 from bpbmod.moduli import audit_alpha_interior, convexity_profile
+from bpbmod.spaces import mesh_gap
 
 RNG = np.random.default_rng(20240810)
 SQRT2 = math.sqrt(2.0)
@@ -164,6 +170,60 @@ def test_convexity_day_nordlander(l1, l2, linf, hexagon, sum1_rr, suminf_rr, cfg
 def test_convexity_rejects_bad_eps(l2, cfg_fast):
     with pytest.raises(ValueError):
         estimate_convexity_modulus(l2, 2.5, cfg_fast)
+
+
+# ---------------------------------------------------------------------------
+# the streamed pair sweeps of alpha and convexity
+
+
+@pytest.mark.parametrize("tile_rows", [1, 7, 64])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+@settings(max_examples=30, deadline=None)
+def test_pair_sweeps_match_dense_oracle(sweep_spaces, tile_rows, data, seed, n):
+    # the dense sums/diffs matrices, reduced whole, are the oracle; without
+    # sweep angles alpha reports its mesh argmax unrefined
+    space = sweep_spaces[data.draw(st.sampled_from(sorted(sweep_spaces)))]
+    pts = np.random.default_rng(seed).standard_normal((n, space.dim))
+    pts /= space.norm_rows(pts)[:, None]
+    dim = space.dim
+    sums = space.norm_rows((pts[:, None, :] + pts[None, :, :]).reshape(-1, dim)).reshape(n, n)
+    diffs = space.norm_rows((pts[:, None, :] - pts[None, :, :]).reshape(-1, dim)).reshape(n, n)
+    obj = (sums + diffs) / 2.0
+    i0, j0 = divmod(int(np.argmax(obj)), n)
+    cfg = EstimatorConfig()
+    band = 2.0 * mesh_gap(space, pts, cfg.seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pi_set, "_TILE_ELEMS", tile_rows * n * dim)
+        mp.setattr(moduli, "_alpha_points", lambda space, config: (None, pts))
+        rep = estimate_alpha(space, cfg)
+        assert type(rep.alpha) is float
+        assert rep.alpha == 2.0 - float(obj[i0, j0])
+        assert np.array_equal(rep.maximizer[0], pts[i0])
+        assert np.array_equal(rep.maximizer[1], pts[j0])
+        for eps in (0.3, 1.0, 1.7, 2.0):
+            mask = (diffs >= eps - 1e-12) & (diffs <= eps + band)
+            if not mask.any():
+                with pytest.raises(EmptyConstraintError):
+                    convexity_profile(space, [eps], cfg)
+                continue
+            (got,) = convexity_profile(space, [eps], cfg)
+            assert type(got.delta_x) is float
+            assert got.delta_x == max(0.0, 1.0 - float((sums[mask] / 2.0).max()))
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda space, cfg: estimate_alpha(space, cfg),
+    lambda space, cfg: convexity_profile(space, [0.5, 1.0, 1.5], cfg),
+], ids=["alpha", "convexity"])
+def test_pair_sweep_memory_is_bounded(sweep):
+    # the whole-matrix sweep peaked at 238 MiB here
+    tracemalloc.start()
+    try:
+        sweep(parse_space("l2:3"), EstimatorConfig(resolution=40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpbmod import (EstimatorConfig, HilbertPair, distance_to_pi,
                     hausdorff_modulus_set, hilbert_distance, is_in_pi,
                     pair_state, parse_space, sample_pi)
-from bpbmod.pi_set import build_pi_sample
+from bpbmod import pi_set
+from bpbmod.pi_set import EmptyConstraintError, build_pi_sample
 
 RNG = np.random.default_rng(20240810)
 
@@ -225,3 +229,84 @@ def test_pi_sample_gap_positive(hexagon):
     assert pi.gap > 0
     assert pi.sweep_count == 64
     assert len(pi.faces) == 6
+
+
+# ---------------------------------------------------------------------------
+# the streamed pair sweep
+
+
+def _dense_scan(space, dual, xs, fs, floor, pi):
+    """Whole-matrix form of ``_scan_pairs``: the full action matrix, both
+    distance matrices and a per-row loop.  Test oracle."""
+    act = xs @ fs.T
+    feasible = act >= floor - 1e-12
+    if not feasible.any():
+        return None
+    dim = space.dim
+    dx = space.norm_rows((xs[:, None, :] - pi.points[None, :, :]).reshape(-1, dim))
+    df = dual.norm_rows((fs[:, None, :] - pi.functionals[None, :, :]).reshape(-1, dim))
+    dx, df = dx.reshape(len(xs), -1), df.reshape(len(fs), -1)
+    best_val = np.full(len(xs), -np.inf)
+    best_j = np.zeros(len(xs), dtype=int)
+    for i in range(len(xs)):
+        js = np.nonzero(feasible[i])[0]
+        if js.size == 0:
+            continue
+        vals = np.maximum(dx[i][None, :], df[js]).min(axis=1)
+        k = int(np.argmax(vals))
+        best_val[i] = vals[k]
+        best_j[i] = js[k]
+    return best_val, best_j
+
+
+def _ball_rows(space, rng, n):
+    """n points of the unit ball, about a third of them on the sphere."""
+    rows = rng.standard_normal((n, space.dim))
+    rows /= space.norm_rows(rows)[:, None]
+    return rows * np.where(rng.random(n) < 1.0 / 3.0, 1.0, rng.random(n))[:, None]
+
+
+@pytest.mark.parametrize("tile_rows", [1, 7, 64])
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 40),
+       nf=st.integers(1, 40), floor=st.floats(-1.2, 1.2))
+@settings(max_examples=40, deadline=None)
+def test_scan_pairs_matches_dense_oracle(sweep_spaces, tile_rows, data, seed, nx, nf, floor):
+    # floors below -1 make every pair feasible, floors above 1 none; tiles
+    # of a few Pi-width rows make the x tiles ragged and chunk the feasible j
+    space = sweep_spaces[data.draw(st.sampled_from(sorted(sweep_spaces)))]
+    pi = pi_set._cached_pi_sample(space, EstimatorConfig(resolution=8 if space.dim == 3 else 24))
+    rng = np.random.default_rng(seed)
+    xs, fs = _ball_rows(space, rng, nx), _ball_rows(pi.dual, rng, nf)
+    want = _dense_scan(space, pi.dual, xs, fs, floor, pi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pi_set, "_TILE_ELEMS", tile_rows * len(pi.points))
+        if want is None:
+            with pytest.raises(EmptyConstraintError):
+                pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
+            return
+        best_val, best_j = pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
+    assert np.array_equal(best_val, want[0])
+    assert np.array_equal(best_j, want[1])
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, delta, mode, resolution, limit_mib", [
+    ("hexagon", 0.3, "ball", 400, 48),
+    ("l2:3", 0.2, "sphere", 40, 64),
+])
+def test_modulus_sweep_memory_is_bounded(sweep_spaces, kind, delta, mode, resolution,
+                                         limit_mib):
+    # the whole-matrix sweep peaked at 257 and 256 MiB on these two
+    space = sweep_spaces[kind]
+    cfg = EstimatorConfig(resolution=resolution)
+    pi_set._cached_pi_sample(space, cfg)  # warm: the Pi sample is not the sweep's
+    assert _peak_mib(lambda: hausdorff_modulus_set(space, delta, mode, cfg)) < limit_mib
+
