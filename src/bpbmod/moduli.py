@@ -2,8 +2,8 @@
 
 All estimators are pure map-reduce sweeps over deterministic sample sets:
 identical configs produce identical results for any chunking, with argmax
-ties broken by lowest sample index.  Every estimate carries a conservative
-mesh-error bound.
+ties broken by lowest sample index.  Every estimate carries a mesh-error
+estimate.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import numpy as np
 
 from .closed_forms import ALPHA_CEILING, ModulusQuery, RegimeError
 from .pi_set import (EmptyConstraintError, ModulusEstimate, PairState, PiWitness,
-                     _cached_pi_sample, _golden_min, _sphere_mesh, _sup_over_pairs,
-                     _sweep_gaps, _tile_rows, _zoom)
+                     _cached_pi_sample, _distance_core, _sphere_mesh, _sup_over_pairs,
+                     _tile_rows, _zoom)
 # the modulus at level delta in ball or sphere mode, under its short name
 from .pi_set import hausdorff_modulus_set as estimate_phi
 from .spaces import EstimatorConfig, NormedSpace, SpaceError, mesh_gap, sphere_chart
@@ -89,7 +89,9 @@ def estimate_phi_mut(space: NormedSpace, q: ModulusQuery,
     Pairs are scaled sphere meshes constrained by ``action >= 1 - delta``;
     2-d estimates are tightened by zoom refinement over both sweep angles.
     When mu * theta < 1 - delta the constraint saturates to the maximally
-    aligned pairs (action = mu * theta), whose supremum is 1 - min(mu, theta).
+    aligned pairs (action = mu * theta), whose supremum is 1 - min(mu, theta):
+    those are the scaled attainment pairs (mu * y, theta * g), so the sweep
+    runs over the scaled Pi sample, without refinement.
     """
     pi = _cached_pi_sample(space, config)
     dual = space.dual()
@@ -100,12 +102,17 @@ def estimate_phi_mut(space: NormedSpace, q: ModulusQuery,
             return angles, r * unit, np.full(len(unit), r)
         return None if angles is None else np.zeros(1), np.zeros((1, space.dim)), np.zeros(1)
 
-    x_angles, xs, x_radii = scaled(*_sphere_mesh(space, config), q.mu)
-    f_angles, fs, f_radii = scaled(*_sphere_mesh(dual, config), q.theta)
-
-    floor = min(1.0 - q.delta, q.mu * q.theta)
-    outer_gap = max(mesh_gap(space, xs, config.seed) if len(xs) > 1 else 0.0,
-                    mesh_gap(dual, fs, config.seed) if len(fs) > 1 else 0.0)
+    if q.mu * q.theta < 1.0 - q.delta:
+        x_angles, xs, x_radii = scaled(None, pi.points, q.mu)
+        f_angles, fs, f_radii = scaled(None, pi.functionals, q.theta)
+        floor = q.mu * q.theta
+        outer_gap = max(q.mu, q.theta) * pi.gap
+    else:
+        x_angles, xs, x_radii = scaled(*_sphere_mesh(space, config), q.mu)
+        f_angles, fs, f_radii = scaled(*_sphere_mesh(dual, config), q.theta)
+        floor = 1.0 - q.delta
+        outer_gap = max(mesh_gap(space, xs, config.seed) if len(xs) > 1 else 0.0,
+                        mesh_gap(dual, fs, config.seed) if len(fs) > 1 else 0.0)
     return _sup_over_pairs(space, xs, fs, floor, pi,
                            x_angles=x_angles, x_radii=x_radii,
                            f_angles=f_angles, f_radii=f_radii,
@@ -260,9 +267,10 @@ def bpb_corrector(space: NormedSpace, p: PairState, delta: float, k: float,
     Existence is guaranteed whenever the dual non-squareness parameter
     exceeds alpha_tilde (the caller's responsibility); a search failure at
     high resolution therefore indicates a bug or an invalid alpha_tilde.
-    The search scans sampled attainment pairs by lowest violation, breaking
-    ties toward the lowest sample index, and refines along the sweep and the
-    dual faces when the mesh alone does not satisfy both bounds.
+    The search is the one of ``distance_to_pi`` under the violation score
+    max(|x - y| - b1, 0) + max(|f - g|* - b2, 0) for the bounds b1 and b2, so
+    it stops at the first pair that meets both (the query itself if it lies
+    in Pi); the witness distance and both slacks are recomputed at that pair.
     """
     tol = max(config.tol, 1e-9)
     if abs(p.norm_x - 1.0) > tol or abs(p.norm_f - 1.0) > tol:
@@ -279,48 +287,13 @@ def bpb_corrector(space: NormedSpace, p: PairState, delta: float, k: float,
     b1 = delta / k
     b2 = 2.0 * k - (2.0 / 3.0) * k * alpha_tilde
     pi = _cached_pi_sample(space, config)
-    dual = pi.dual
-    d1 = space.norm_rows(p.x[None, :] - pi.points)
-    d2 = dual.norm_rows(p.f[None, :] - pi.functionals)
-    viol = np.maximum(d1 - b1, 0.0) + np.maximum(d2 - b2, 0.0)
-    i0 = int(np.argmin(viol))
-    best = (float(viol[i0]), pi.points[i0], pi.functionals[i0],
-            float(d1[i0]), float(d2[i0]))
-
-    if best[0] > 0.0 and space.dim == 2 and pi.sweep_angles is not None:
-        i_sweep = int(np.argmin(viol[: pi.sweep_count]))
-        step = 2.0 * math.pi / pi.sweep_count
-
-        def violation(phi):
-            _, _, a, b = _sweep_gaps(space, dual, p, phi)
-            return np.maximum(a - b1, 0.0) + np.maximum(b - b2, 0.0)
-
-        phi0 = pi.sweep_angles[i_sweep : i_sweep + 1]
-        phi, v = _zoom(violation, phi0, step, violation(phi0)[0],
-                       rounds=5, npts=13, shrink=2.0 / 12)
-        if v < best[0]:
-            y, g, a, b = _sweep_gaps(space, dual, p, phi)
-            best = (float(v), y[0], g[0], float(a[0]), float(b[0]))
-        if best[0] > 0.0:
-            for seg in pi.faces:
-                a = space.norm(p.x - seg.vertex)
-
-                def v_face(t, seg=seg, a=a):
-                    g = (1.0 - t) * seg.g_lo + t * seg.g_hi
-                    b = dual.norm(p.f - g)
-                    return max(a - b1, 0.0) + max(b - b2, 0.0)
-
-                t_best, v = _golden_min(v_face, 0.0, 1.0, iters=50)
-                if v < best[0]:
-                    g = (1.0 - t_best) * seg.g_lo + t_best * seg.g_hi
-                    g = g / dual.norm(g)
-                    best = (v, seg.vertex, g, a, dual.norm(p.f - g))
-
-    violation, y, g, a, b = best
-    if violation > 1e-12:
+    w = _distance_core(space, p, pi,
+                       score=lambda a, b: np.maximum(a - b1, 0.0) + np.maximum(b - b2, 0.0))
+    a, b = space.norm(p.x - w.y), pi.dual.norm(p.f - w.g)
+    if w.distance > 1e-12:
         raise CorrectorSearchError(
             f"no attainment pair met both bounds (best slacks {b1 - a:.3e}, {b2 - b:.3e})",
             best_slacks=(b1 - a, b2 - b))
-    return CorrectorResult(witness=PiWitness(np.array(y), np.array(g), max(a, b)),
+    return CorrectorResult(witness=PiWitness(w.y, w.g, max(a, b)),
                            slack_x=b1 - a, slack_f=b2 - b)
 

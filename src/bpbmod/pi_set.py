@@ -60,6 +60,8 @@ _TILE_ELEMS = 1 << 17
 # Ceiling on the distance rows of a pair sweep, the one array it keeps
 # whose size grows with the mesh.
 _DF_BYTES_MAX = 1 << 30
+# Best mesh rows of a pair sweep that seed its refinement.
+_TOP_K = 4
 
 
 class EmptyConstraintError(ValueError):
@@ -97,7 +99,7 @@ class PiWitness:
 
 @dataclass(frozen=True)
 class ModulusEstimate:
-    """Grid supremum with a conservative mesh-error bound and its argmax."""
+    """Grid supremum with its mesh-error estimate and its argmax."""
 
     value: float
     mesh_error: float
@@ -134,7 +136,6 @@ class _FaceSegment:
 class PiSample:
     """Cached arrays of attainment pairs for one (space, config)."""
 
-    space: NormedSpace
     dual: NormedSpace
     points: np.ndarray       # (N, d)
     functionals: np.ndarray  # (N, d)
@@ -189,7 +190,7 @@ def build_pi_sample(space: NormedSpace, config: EstimatorConfig) -> PiSample:
     for seg in faces:
         face_step = max(face_step, dual.norm(seg.g_hi - seg.g_lo) / max(1, config.resolution // 8))
     gap = max(gap_pts, face_step)
-    return PiSample(space, dual, pts, funcs, angles, sweep_count, tuple(faces), gap)
+    return PiSample(dual, pts, funcs, angles, sweep_count, tuple(faces), gap)
 
 
 @lru_cache(maxsize=32)
@@ -304,8 +305,12 @@ def _hilbert_witness_candidates(x: np.ndarray, f: np.ndarray) -> list[np.ndarray
 
 
 def _distance_core(space: NormedSpace, p: PairState, pi: PiSample,
-                   level: int = 2) -> PiWitness:
-    """Best attainment pair for the query at the requested refinement level.
+                   level: int = 2, score=np.maximum) -> PiWitness:
+    """Attainment pair minimizing ``score(|x - y|, |f - g|*)``, with that score.
+
+    ``score`` works elementwise, is nondecreasing in each gap and is 0 at
+    (0, 0); the default max gives the max-metric distance.  The search
+    stops refining once the score is 0.
 
     level 0: discrete minimum over the sample.
     level 1: + dual-face segments and euclidean closed-form candidates.
@@ -314,18 +319,19 @@ def _distance_core(space: NormedSpace, p: PairState, pi: PiSample,
     dual = pi.dual
     d1 = space.norm_rows(p.x[None, :] - pi.points)
     d2 = dual.norm_rows(p.f[None, :] - pi.functionals)
-    vals = np.maximum(d1, d2)
+    vals = score(d1, d2)
     i0 = int(np.argmin(vals))
     best = (float(vals[i0]), pi.points[i0], pi.functionals[i0])
 
     if is_in_pi(space, p, tol=1e-9) and best[0] > 0.0:
         best = (0.0, p.x, p.f)
 
-    if level >= 1:
-        # convex 1-d minimization over each dual-face segment
+    if level >= 1 and best[0] > 0.0:
+        # convex 1-d minimization over each dual-face segment; the score is
+        # nondecreasing in the functional gap, so minimizing that gap suffices
         for seg in pi.faces:
             cx = space.norm(p.x - seg.vertex)
-            if cx >= best[0]:
+            if score(cx, 0.0) >= best[0]:
                 continue
             glo, ghi = seg.g_lo, seg.g_hi
 
@@ -333,14 +339,14 @@ def _distance_core(space: NormedSpace, p: PairState, pi: PiSample,
                 return dual.norm(p.f - ((1.0 - t) * glo + t * ghi))
 
             t_best, q_best = _golden_min(q, 0.0, 1.0, iters=40)
-            v = max(cx, q_best)
+            v = float(score(cx, q_best))
             if v < best[0]:
                 g = (1.0 - t_best) * glo + t_best * ghi
                 best = (v, seg.vertex, g / dual.norm(g))
         # exact euclidean candidates
         if isinstance(space, Lp) and space.p == 2.0 and space.dim >= 2:
             for z in _hilbert_witness_candidates(p.x, p.f):
-                v = max(float(np.linalg.norm(p.x - z)), float(np.linalg.norm(p.f - z)))
+                v = float(score(np.linalg.norm(p.x - z), np.linalg.norm(p.f - z)))
                 if v < best[0]:
                     best = (v, z, z)
 
@@ -354,18 +360,18 @@ def _distance_core(space: NormedSpace, p: PairState, pi: PiSample,
         minima = minima[np.argsort(profile[minima], kind="stable")]
         basins = [i_sweep] + [int(i) for i in minima if i != i_sweep][:2]
 
-        def score(phi):
-            return np.maximum(*_sweep_gaps(space, dual, p, phi)[2:])
+        def sweep_score(phi):
+            return score(*_sweep_gaps(space, dual, p, phi)[2:])
 
         rounds, npts = 4, 13
         starts = [pi.sweep_angles[i : i + 1] for i in basins]
-        zoomed = [_zoom(score, phi0, step, score(phi0)[0], rounds=rounds, npts=npts,
+        zoomed = [_zoom(sweep_score, phi0, step, sweep_score(phi0)[0], rounds=rounds, npts=npts,
                         shrink=2.0 / (npts - 1)) for phi0 in starts]
         # polish the best sample's basin, and the best zoomed one if it is another
         k = min(range(len(zoomed)), key=lambda k: zoomed[k][1])
         w = step * (2.0 / (npts - 1)) ** rounds
         for (phi_zoom,), _ in [zoomed[0]] + [zoomed[k]] * (k > 0):
-            phi_best, v = _golden_min(lambda t: score(np.array([t]))[0],
+            phi_best, v = _golden_min(lambda t: sweep_score(np.array([t]))[0],
                                       phi_zoom - 2.0 * w, phi_zoom + 2.0 * w, iters=50)
             if v < best[0]:
                 y, g, _, _ = _sweep_gaps(space, dual, p, [phi_best])
@@ -470,7 +476,7 @@ def _scan_pairs(space, dual, xs, fs, floor, pi):
 
 def _sup_over_pairs(space, xs, fs, floor, pi, *,
                     x_angles=None, x_radii=None, f_angles=None, f_radii=None,
-                    refine_rounds=3, top_k=4, outer_gap=0.0):
+                    refine_rounds=3, outer_gap=0.0):
     """Supremum of distance-to-Pi over feasible (x, f) mesh pairs.
 
     Feasibility is ``dot(f, x) >= floor`` (up to 1e-12 to keep exact-equality
@@ -480,7 +486,7 @@ def _sup_over_pairs(space, xs, fs, floor, pi, *,
     dual = pi.dual
     best_val, best_j = _scan_pairs(space, dual, xs, fs, floor, pi)
 
-    order = np.argsort(-best_val, kind="stable")[:top_k]
+    order = np.argsort(-best_val, kind="stable")[:_TOP_K]
     seeds = [(int(i), int(best_j[i])) for i in order if np.isfinite(best_val[i])]
     if not seeds:
         raise EmptyConstraintError("constraint set has no usable sampled pair")
@@ -551,8 +557,9 @@ def hausdorff_modulus_set(space: NormedSpace, delta: float, mode: str,
 
     ``mode='ball'`` sweeps pairs over the product of unit balls and
     ``mode='sphere'`` over the product of unit spheres, constrained by
-    ``action >= 1 - delta + delta_slack``; the max of distance-to-Pi over the
-    feasible pairs is returned with a conservative mesh-error bound.
+    ``action >= 1 - delta`` (up to 1e-12, since a mesh cannot represent the
+    open condition ``> 1 - delta``); the max of distance-to-Pi over the
+    feasible pairs is returned with a mesh-error estimate.
     """
     if not (0.0 < delta < 2.0):
         raise ValueError("delta must be in (0, 2)")
@@ -560,7 +567,7 @@ def hausdorff_modulus_set(space: NormedSpace, delta: float, mode: str,
         raise ValueError("mode must be 'ball' or 'sphere'")
     pi = _cached_pi_sample(space, config)
     dual = space.dual()
-    floor = 1.0 - delta + config.delta_slack
+    floor = 1.0 - delta
     x_angles, xs = _sphere_mesh(space, config)
     f_angles, fs = _sphere_mesh(dual, config)
     outer_gap = max(mesh_gap(space, xs, config.seed), mesh_gap(dual, fs, config.seed))

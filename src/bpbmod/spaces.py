@@ -91,9 +91,6 @@ class EstimatorConfig:
                  ``resolution`` angles; 3-d and 4-d spheres get
                  ``resolution**2`` and ``resolution**3`` points)
     tol          numerical tolerance for membership and identity checks
-    delta_slack  shift applied to the almost-attainment constraint; the
-                 estimators use ``action >= 1 - delta + delta_slack`` since a
-                 mesh cannot represent the open condition ``> 1 - delta``
     seed         seed for the randomized samplers (4-d spheres, audits)
 
     The estimators run in one thread; results depend on these fields only.
@@ -101,7 +98,6 @@ class EstimatorConfig:
 
     resolution: int = 400
     tol: float = 1e-9
-    delta_slack: float = 0.0
     seed: int = 1729
 
     def __post_init__(self):
@@ -109,8 +105,6 @@ class EstimatorConfig:
             raise ValueError("resolution must be at least 8")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.delta_slack < 0:
-            raise ValueError("delta_slack must be nonnegative")
 
 
 class NormedSpace:

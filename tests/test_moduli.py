@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpbmod import (CorrectorSearchError, EmptyConstraintError, EstimatorConfig, Lp,
-                    ModulusQuery, RegimeError, bpb_corrector,
+                    ModulusQuery, Polytope, RegimeError, bpb_corrector,
                     check_alpha_self_dual, collapse_k, estimate_alpha,
                     estimate_convexity_modulus, estimate_phi, estimate_phi_mut,
                     hilbert_modulus, is_in_pi, pair_state, parse_space,
@@ -18,6 +18,11 @@ from bpbmod.spaces import mesh_gap
 
 RNG = np.random.default_rng(20240810)
 SQRT2 = math.sqrt(2.0)
+# polygons with vertices off the sweep angles
+OCTAGON = np.array([[1, 0.1], [0.7, 0.8], [-0.2, 1.1], [-0.9, 0.5], [-1, -0.1],
+                    [-0.7, -0.8], [0.2, -1.1], [0.9, -0.5]])
+HEXAGON_ROTATED = np.array([[math.cos(k * math.pi / 3 + 0.1), math.sin(k * math.pi / 3 + 0.1)]
+                            for k in range(6)])
 
 
 def q(mu, theta, delta):
@@ -85,14 +90,20 @@ def test_phi_sphere_under_estimated_alpha_bound(l2, hexagon, cfg_fast):
             assert est.value <= bound + est.mesh_error + 1e-9
 
 
+@pytest.mark.parametrize("verts", [OCTAGON, HEXAGON_ROTATED], ids=["octagon", "hexagon_rotated"])
+def test_phi_mut_saturated_regime_off_the_sweep(verts):
+    # mu * theta < 1 - delta admits only exactly aligned pairs; no sweep
+    # angle hits these vertices, but the Pi sample holds them; the supremum
+    # is 1 - min(mu, theta)
+    est = estimate_phi_mut(Polytope(verts), q(0.5, 1, 0.3), EstimatorConfig(resolution=400))
+    assert est.value == pytest.approx(0.5, abs=1e-12)
+    assert est.mesh_error <= 0.021
+
+
 def test_phi_mut_empty_constraint_set():
-    import numpy as np
-    from bpbmod import EmptyConstraintError, Polytope
-    rot = 0.1  # no mesh pair aligns exactly on a rotated hexagon
-    verts = np.array([[math.cos(k * math.pi / 3 + rot), math.sin(k * math.pi / 3 + rot)]
-                      for k in range(6)])
+    # no mesh pair aligns exactly on the rotated hexagon
     with pytest.raises(EmptyConstraintError):
-        estimate_phi_mut(Polytope(verts), q(1, 1, 1e-12),
+        estimate_phi_mut(Polytope(HEXAGON_ROTATED), q(1, 1, 1e-12),
                          EstimatorConfig(resolution=64))
 
 
@@ -271,16 +282,54 @@ def test_corrector_validates_parameters(l2, cfg_fast):
 
 
 def test_corrector_search_failure_diagnostics():
-    # coarse 3-d mesh, no refinement: bounds tighter than the covering radius
-    space = Lp(2.0, 3)
+    # coarse 3-d mesh: the point bound is tighter than the covering radius
+    space = Lp(math.inf, 3)
     cfg = EstimatorConfig(resolution=8)
-    x = np.array([0.3, 0.7, 0.648074069840786])
-    x = x / np.linalg.norm(x)
-    p = pair_state(space, x, x)
+    x = np.array([0.3, 0.7, 0.648074069840786]) / 0.7
+    p = pair_state(space, x, [1e-4, 0.9998, 1e-4])
+    assert not is_in_pi(space, p)
     with pytest.raises(CorrectorSearchError) as err:
         bpb_corrector(space, p, 0.0002, 0.01, 0.58, cfg)
     assert len(err.value.best_slacks) == 2
     assert min(err.value.best_slacks) < 0
+
+
+def test_corrector_returns_a_pair_already_in_pi():
+    # no sample of the coarse 3-d mesh meets both bounds, but the query does
+    space = Lp(2.0, 3)
+    x = np.array([0.3, 0.7, 0.648074069840786])
+    x = x / np.linalg.norm(x)
+    p = pair_state(space, x, x)
+    res = bpb_corrector(space, p, 0.0002, 0.01, 0.58, EstimatorConfig(resolution=8))
+    np.testing.assert_array_equal(res.witness.y, p.x)
+    np.testing.assert_array_equal(res.witness.g, p.f)
+    assert res.witness.distance == 0.0
+    assert res.slack_x == 0.0002 / 0.01
+    assert res.slack_f == 2 * 0.01 - (2 / 3) * 0.01 * 0.58
+
+
+@pytest.mark.parametrize("k", [0.3, 0.0003])
+@pytest.mark.parametrize("name", ["linf:2", "l1:2", "hexagon", "octagon", "sum1(r:1,r:1)",
+                                  "suminf(r:1,r:1)", "lp:2:p=1.5"])
+def test_corrector_battery(name, k, hexagon, cfg_fast):
+    # the small k needs the functional within 5.4e-4, so the faces or the
+    # sweep zoom must find it
+    space = {"hexagon": hexagon, "octagon": Polytope(OCTAGON)}.get(name) or parse_space(name)
+    dual = space.dual()
+    alpha = 0.3
+    b2 = 2 * k - (2 / 3) * k * alpha
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        x = space.unit(rng.standard_normal(2))
+        f = space.support(x) + 0.2 * rng.standard_normal(2)
+        p = pair_state(space, x, f / dual.norm(f))
+        delta = 1.0 - p.action + 0.02
+        res = bpb_corrector(space, p, delta, k, alpha, cfg_fast)
+        w = res.witness
+        assert is_in_pi(space, pair_state(space, w.y, w.g), tol=1e-9)
+        a, b = space.norm(p.x - w.y), dual.norm(p.f - w.g)
+        assert a <= delta / k and b <= b2
+        assert (res.slack_x, res.slack_f, w.distance) == (delta / k - a, b2 - b, max(a, b))
 
 
 def test_corrector_deterministic(l2, cfg_fast):

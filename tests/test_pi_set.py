@@ -215,15 +215,6 @@ def test_argmax_pair_is_feasible(linf, cfg_fast):
     assert abs(est.pair.norm_f - 1) <= 1e-9
 
 
-def test_delta_slack_tightens_constraint(linf):
-    base = hausdorff_modulus_set(linf, 0.5, "sphere",
-                                 EstimatorConfig(resolution=160)).value
-    slacked = hausdorff_modulus_set(linf, 0.5, "sphere",
-                                    EstimatorConfig(resolution=160,
-                                                    delta_slack=0.2)).value
-    assert slacked <= base + 1e-9
-
-
 def test_pi_sample_gap_positive(hexagon):
     pi = build_pi_sample(hexagon, EstimatorConfig(resolution=64))
     assert pi.gap > 0
