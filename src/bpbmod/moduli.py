@@ -14,12 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_forms import ALPHA_CEILING, ModulusQuery, RegimeError
-from .pi_set import (EmptyConstraintError, ModulusEstimate, PairState, PiWitness,
+from .pi_set import (EmptyConstraintError, Mesh, ModulusEstimate, PairState, PiWitness,
                      _cached_pi_sample, _distance_core, _sphere_mesh, _sup_over_pairs,
                      _tile_rows, _zoom)
 # the modulus at level delta in ball or sphere mode, under its short name
 from .pi_set import hausdorff_modulus_set as estimate_phi
-from .spaces import EstimatorConfig, NormedSpace, SpaceError, mesh_gap, sphere_chart
+from .spaces import EstimatorConfig, NormedSpace, SpaceError, sphere_chart
 
 __all__ = [
     "AlphaReport",
@@ -86,37 +86,32 @@ def estimate_phi_mut(space: NormedSpace, q: ModulusQuery,
                      refine_rounds: int = 3) -> ModulusEstimate:
     """Supremum of distance-to-Pi over pairs with |x| = mu, |f| = theta.
 
-    Pairs are scaled sphere meshes constrained by ``action >= 1 - delta``;
-    2-d estimates are tightened by zoom refinement over both sweep angles.
+    Pairs are sphere meshes scaled by mu and theta, gaps scaled alike,
+    constrained by ``action >= 1 - delta``; 2-d estimates are tightened by
+    zoom refinement over both sweep angles.
     When mu * theta < 1 - delta the constraint saturates to the maximally
     aligned pairs (action = mu * theta), whose supremum is 1 - min(mu, theta):
     those are the scaled attainment pairs (mu * y, theta * g), so the sweep
-    runs over the scaled Pi sample, without refinement.
+    runs over the scaled Pi sample, with gap r * pi.gap, without refinement.
     """
     pi = _cached_pi_sample(space, config)
-    dual = space.dual()
 
-    def scaled(angles, unit, r):
-        # radius 0 collapses the sphere mesh to the origin
+    def scaled(mesh, r):
+        # radius 0 collapses the mesh to the origin
         if r > 0.0:
-            return angles, r * unit, np.full(len(unit), r)
-        return None if angles is None else np.zeros(1), np.zeros((1, space.dim)), np.zeros(1)
+            return Mesh(r * mesh.points, mesh.angles, np.full(len(mesh.points), r), r * mesh.gap)
+        return Mesh(np.zeros((1, space.dim)), None if mesh.angles is None else np.zeros(1),
+                    np.zeros(1), 0.0)
 
     if q.mu * q.theta < 1.0 - q.delta:
-        x_angles, xs, x_radii = scaled(None, pi.points, q.mu)
-        f_angles, fs, f_radii = scaled(None, pi.functionals, q.theta)
+        xm = scaled(Mesh(pi.points, None, None, pi.gap), q.mu)
+        fm = scaled(Mesh(pi.functionals, None, None, pi.gap), q.theta)
         floor = q.mu * q.theta
-        outer_gap = max(q.mu, q.theta) * pi.gap
     else:
-        x_angles, xs, x_radii = scaled(*_sphere_mesh(space, config), q.mu)
-        f_angles, fs, f_radii = scaled(*_sphere_mesh(dual, config), q.theta)
+        xm = scaled(_sphere_mesh(space, config), q.mu)
+        fm = scaled(_sphere_mesh(pi.dual, config), q.theta)
         floor = 1.0 - q.delta
-        outer_gap = max(mesh_gap(space, xs, config.seed) if len(xs) > 1 else 0.0,
-                        mesh_gap(dual, fs, config.seed) if len(fs) > 1 else 0.0)
-    return _sup_over_pairs(space, xs, fs, floor, pi,
-                           x_angles=x_angles, x_radii=x_radii,
-                           f_angles=f_angles, f_radii=f_radii,
-                           refine_rounds=refine_rounds, outer_gap=outer_gap)
+    return _sup_over_pairs(space, xm, fm, floor, pi, refine_rounds=refine_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +129,8 @@ def _pair_norm_tiles(space: NormedSpace, pts: np.ndarray):
         yield lo, sums.reshape(-1, n), diffs.reshape(-1, n)
 
 
-def _alpha_points(space: NormedSpace, config: EstimatorConfig):
-    """Sphere mesh and sweep angles for the pair sweeps."""
+def _alpha_points(space: NormedSpace, config: EstimatorConfig) -> Mesh:
+    """The cached sphere mesh of the alpha and convexity pair sweeps."""
     # pair enumeration is quadratic; above dimension 2 the mesh has
     # resolution ** (dim - 1) points, capped at _ALPHA_POINTS_MAX
     if space.dim > 2:
@@ -152,7 +147,8 @@ def estimate_alpha(space: NormedSpace,
     supremum over the ball product is attained on sphere pairs; interior
     sampling is audited separately, not assumed (audit_alpha_interior).
     """
-    angles, pts = _alpha_points(space, config)
+    mesh = _alpha_points(space, config)
+    pts = mesh.points
     # running argmax that moves on strict improvement: the first flat index wins
     best, i0, j0 = -math.inf, 0, 0
     for lo, sums, diffs in _pair_norm_tiles(space, pts):
@@ -163,18 +159,17 @@ def estimate_alpha(space: NormedSpace,
             i0, j0 = lo + k // len(pts), k % len(pts)
     bx, by = pts[i0].copy(), pts[j0].copy()
 
-    if angles is not None:
+    if mesh.angles is not None:
         def score(phi1, phi2):
             u, v = sphere_chart(space, phi1), sphere_chart(space, phi2)
             return -(space.norm_rows(u + v) + space.norm_rows(u - v)) / 2.0
 
-        (c1, c2), v = _zoom(score, (angles[i0], angles[j0]), 2.0 * math.pi / config.resolution,
+        (c1, c2), v = _zoom(score, (mesh.angles[i0], mesh.angles[j0]), 2.0 * math.pi / len(pts),
                             -best, rounds=4, npts=5, shrink=0.35)
         if -v > best:
             best, bx, by = float(-v), sphere_chart(space, [c1])[0], sphere_chart(space, [c2])[0]
 
-    gap = mesh_gap(space, pts, config.seed)
-    return AlphaReport(alpha=2.0 - best, maximizer=(bx, by), mesh_error=gap)
+    return AlphaReport(alpha=2.0 - best, maximizer=(bx, by), mesh_error=mesh.gap)
 
 
 def audit_alpha_interior(space: NormedSpace, report: AlphaReport,
@@ -205,12 +200,11 @@ def convexity_profile(space: NormedSpace, eps_values,
     for eps in eps_values:
         if not (0.0 < eps <= 2.0):
             raise ValueError(f"eps must be in (0, 2], got {eps}")
-    _, pts = _alpha_points(space, config)
-    gap = mesh_gap(space, pts, config.seed)
-    band = 2.0 * gap
+    mesh = _alpha_points(space, config)
+    band = 2.0 * mesh.gap
     # running max of the midpoint norm per eps; None while no pair is in band
     tops = [None] * len(eps_values)
-    for _, sums, diffs in _pair_norm_tiles(space, pts):
+    for _, sums, diffs in _pair_norm_tiles(space, mesh.points):
         for e, eps in enumerate(eps_values):
             mask = (diffs >= eps - 1e-12) & (diffs <= eps + band)
             if mask.any():
@@ -222,7 +216,7 @@ def convexity_profile(space: NormedSpace, eps_values,
             raise EmptyConstraintError(
                 f"no sphere pair with separation within [{eps}, {eps + band}]")
         reports.append(ConvexityReport(eps=eps, delta_x=max(0.0, 1.0 - best),
-                                       mesh_error=band + gap))
+                                       mesh_error=band + mesh.gap))
     return reports
 
 

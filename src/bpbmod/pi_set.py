@@ -42,6 +42,7 @@ from .spaces import (EstimatorConfig, Lp, NormedSpace, as_vector, mesh_gap,
                      sphere_chart, sphere_sample, sphere_sample_angles)
 
 __all__ = [
+    "Mesh",
     "PairState",
     "PiWitness",
     "ModulusEstimate",
@@ -133,14 +134,23 @@ class _FaceSegment:
 
 
 @dataclass(frozen=True)
+class Mesh:
+    """Rows meshing a sphere or a ball, with their 2-d chart coordinates and gap."""
+
+    points: np.ndarray          # (N, d); in 2-d row i is sphere_chart(angles[i], radii[i])
+    angles: np.ndarray | None   # None above dimension 2
+    radii: np.ndarray | None    # None on the unit sphere
+    gap: float                  # largest gap between neighbouring rows, in the norm
+
+
+@dataclass(frozen=True)
 class PiSample:
     """Cached arrays of attainment pairs for one (space, config)."""
 
     dual: NormedSpace
-    points: np.ndarray       # (N, d)
+    points: np.ndarray       # (N, d); the first len(sweep.points) rows are the sweep
     functionals: np.ndarray  # (N, d)
-    sweep_angles: np.ndarray | None
-    sweep_count: int
+    sweep: Mesh              # the unit-sphere mesh of the space
     faces: tuple[_FaceSegment, ...]
     gap: float               # covering estimate in the max metric
 
@@ -171,9 +181,8 @@ def _face_segments(space: NormedSpace, dual: NormedSpace) -> list[_FaceSegment]:
 def build_pi_sample(space: NormedSpace, config: EstimatorConfig) -> PiSample:
     """Sample Pi(X): sphere sweep plus dual-face meshes at 2-d vertices."""
     dual = space.dual()
-    angles, pts = _sphere_mesh(space, config)
-    funcs = space.support_rows(pts)
-    sweep_count = len(pts)
+    sweep = _sphere_mesh(space, config)
+    pts, funcs = sweep.points, space.support_rows(sweep.points)
 
     faces = _face_segments(space, dual) if space.dim == 2 else []
     if faces:
@@ -185,12 +194,10 @@ def build_pi_sample(space: NormedSpace, config: EstimatorConfig) -> PiSample:
         pts = np.concatenate([pts, np.repeat([seg.vertex for seg in faces], m, axis=0)])
         funcs = np.concatenate([funcs, np.where(np.abs(nd - 1.0) > 1e-12, g / nd, g)])
 
-    gap_pts = mesh_gap(space, pts[:sweep_count], seed=config.seed)
     face_step = 0.0
     for seg in faces:
         face_step = max(face_step, dual.norm(seg.g_hi - seg.g_lo) / max(1, config.resolution // 8))
-    gap = max(gap_pts, face_step)
-    return PiSample(dual, pts, funcs, angles, sweep_count, tuple(faces), gap)
+    return PiSample(dual, pts, funcs, sweep, tuple(faces), max(sweep.gap, face_step))
 
 
 @lru_cache(maxsize=32)
@@ -350,11 +357,11 @@ def _distance_core(space: NormedSpace, p: PairState, pi: PiSample,
                 if v < best[0]:
                     best = (v, z, z)
 
-    if level >= 2 and pi.sweep_angles is not None and best[0] > 0.0:
-        step = 2.0 * math.pi / pi.sweep_count
+    if level >= 2 and pi.sweep.angles is not None and best[0] > 0.0:
+        step = 2.0 * math.pi / len(pi.sweep.points)
         # zoom into the best sweep sample and the two lowest other local
         # minima of the cyclic sweep profile
-        profile = vals[: pi.sweep_count]
+        profile = vals[: len(pi.sweep.points)]
         i_sweep = int(np.argmin(profile))
         minima = np.flatnonzero((profile < np.roll(profile, 1)) & (profile <= np.roll(profile, -1)))
         minima = minima[np.argsort(profile[minima], kind="stable")]
@@ -364,7 +371,7 @@ def _distance_core(space: NormedSpace, p: PairState, pi: PiSample,
             return score(*_sweep_gaps(space, dual, p, phi)[2:])
 
         rounds, npts = 4, 13
-        starts = [pi.sweep_angles[i : i + 1] for i in basins]
+        starts = [pi.sweep.angles[i : i + 1] for i in basins]
         zoomed = [_zoom(sweep_score, phi0, step, sweep_score(phi0)[0], rounds=rounds, npts=npts,
                         shrink=2.0 / (npts - 1)) for phi0 in starts]
         # polish the best sample's basin, and the best zoomed one if it is another
@@ -474,16 +481,19 @@ def _scan_pairs(space, dual, xs, fs, floor, pi):
     return best_val, best_j
 
 
-def _sup_over_pairs(space, xs, fs, floor, pi, *,
-                    x_angles=None, x_radii=None, f_angles=None, f_radii=None,
-                    refine_rounds=3, outer_gap=0.0):
-    """Supremum of distance-to-Pi over feasible (x, f) mesh pairs.
+def _sup_over_pairs(space, xm: Mesh, fm: Mesh, floor, pi, *, refine_rounds=3):
+    """Supremum of distance-to-Pi over feasible pairs of a point and a functional mesh.
 
+    ``xm`` meshes points of the space and ``fm`` functionals of ``pi.dual``.
     Feasibility is ``dot(f, x) >= floor`` (up to 1e-12 to keep exact-equality
-    constructions feasible in floating point).  Returns a ModulusEstimate;
+    constructions feasible in floating point).  In 2-d the best mesh pairs
+    are refined by a zoom over both chart angles whose first half-width is
+    the sweep step 2 pi / len(pi.sweep.points).  The mesh error is
+    max(xm.gap, fm.gap) / 2 + pi.gap / 2.  Returns a ModulusEstimate;
     deterministic: the argmax tie-breaks to the lowest (i, j).
     """
     dual = pi.dual
+    xs, fs = xm.points, fm.points
     best_val, best_j = _scan_pairs(space, dual, xs, fs, floor, pi)
 
     order = np.argsort(-best_val, kind="stable")[:_TOP_K]
@@ -497,12 +507,11 @@ def _sup_over_pairs(space, xs, fs, floor, pi, *,
         return w.distance, pr, w
 
     best = max((refined(xs[i], fs[j]) for i, j in seeds), key=lambda b: b[0])
-    if x_angles is not None and refine_rounds > 0:  # 2-d: zoom over both sweep angles
-        step_x = 2.0 * math.pi / max(1, len(np.unique(np.round(x_angles, 12))))
-        step_f = 2.0 * math.pi / max(1, len(np.unique(np.round(f_angles, 12))))
+    if xm.angles is not None and refine_rounds > 0:  # 2-d: zoom over both sweep angles
+        step = 2.0 * math.pi / len(pi.sweep.points)
         for i, j in seeds:
-            rx = 1.0 if x_radii is None else float(x_radii[i])
-            rf = 1.0 if f_radii is None else float(f_radii[j])
+            rx = 1.0 if xm.radii is None else float(xm.radii[i])
+            rf = 1.0 if fm.radii is None else float(fm.radii[j])
             if rx == 0.0 and rf == 0.0:
                 continue
 
@@ -518,36 +527,42 @@ def _sup_over_pairs(space, xs, fs, floor, pi, *,
                     out[k] = -_distance_core(space, pr, pi, level=1).distance
                 return out
 
-            (cx, cf), v = _zoom(score, (x_angles[i], f_angles[j]), (step_x, step_f), np.inf,
+            (cx, cf), v = _zoom(score, (xm.angles[i], fm.angles[j]), step, np.inf,
                                 rounds=refine_rounds, npts=5, shrink=0.35)
             if v < np.inf:
                 cand = refined(sphere_chart(space, [cx], rx)[0], sphere_chart(dual, [cf], rf)[0])
                 if cand[0] > best[0]:
                     best = cand
 
-    mesh_error = outer_gap / 2.0 + pi.gap / 2.0
+    mesh_error = max(xm.gap, fm.gap) / 2.0 + pi.gap / 2.0
     return ModulusEstimate(best[0], mesh_error, best[1], best[2])
 
 
-def _sphere_mesh(space, config):
-    """Unit-sphere mesh with its sweep angles (None above dimension 2)."""
+@lru_cache(maxsize=64)
+def _sphere_mesh(space: NormedSpace, config: EstimatorConfig) -> Mesh:
+    """The unit-sphere mesh of one (space, config), built once with its gap.
+
+    Its arrays are read-only, shared by the Pi sample, the pair sweeps, alpha
+    and convexity.  Key a dual on ``pi.dual``: a polytope hashes by identity.
+    """
     if space.dim == 2:
-        return sphere_sample_angles(space, config.resolution)
-    return None, sphere_sample(space, config)
+        angles, pts = sphere_sample_angles(space, config.resolution)
+        angles.setflags(write=False)
+    else:
+        angles, pts = None, sphere_sample(space, config)
+    pts.setflags(write=False)
+    return Mesh(pts, angles, None, mesh_gap(space, pts, config.seed))
 
 
-def _ball_mesh(space, config, angles, pts):
-    """Radial-by-angular ball mesh over a sphere mesh, with origin and sphere."""
+def _ball_mesh(config, mesh: Mesh) -> Mesh:
+    """Ball mesh: the origin and radial copies of a sphere mesh; its gap adds the radial step."""
     n_r = max(4, config.resolution // 64)
     radii = np.linspace(0.0, 1.0, n_r + 1)[1:]
-    xs = np.concatenate([r * pts for r in radii], axis=0)
-    xs = np.concatenate([np.zeros((1, space.dim)), xs], axis=0)
-    if angles is not None:
-        ang = np.concatenate([[0.0], np.tile(angles, n_r)])
-        rad = np.concatenate([[0.0], np.repeat(radii, len(pts))])
-    else:
-        ang = rad = None
-    return ang, rad, xs, radii[1] - radii[0] if n_r > 1 else 1.0
+    n, dim = mesh.points.shape
+    xs = np.concatenate([np.zeros((1, dim))] + [r * mesh.points for r in radii])
+    angles = None if mesh.angles is None else np.concatenate([[0.0], np.tile(mesh.angles, n_r)])
+    rad = np.concatenate([[0.0], np.repeat(radii, n)])
+    return Mesh(xs, angles, rad, mesh.gap + (radii[1] - radii[0]))
 
 
 def hausdorff_modulus_set(space: NormedSpace, delta: float, mode: str,
@@ -566,17 +581,7 @@ def hausdorff_modulus_set(space: NormedSpace, delta: float, mode: str,
     if mode not in ("ball", "sphere"):
         raise ValueError("mode must be 'ball' or 'sphere'")
     pi = _cached_pi_sample(space, config)
-    dual = space.dual()
-    floor = 1.0 - delta
-    x_angles, xs = _sphere_mesh(space, config)
-    f_angles, fs = _sphere_mesh(dual, config)
-    outer_gap = max(mesh_gap(space, xs, config.seed), mesh_gap(dual, fs, config.seed))
-    x_radii = f_radii = None
+    xm, fm = _sphere_mesh(space, config), _sphere_mesh(pi.dual, config)
     if mode == "ball":
-        x_angles, x_radii, xs, dr_x = _ball_mesh(space, config, x_angles, xs)
-        f_angles, f_radii, fs, dr_f = _ball_mesh(dual, config, f_angles, fs)
-        outer_gap += max(dr_x, dr_f)
-    return _sup_over_pairs(space, xs, fs, floor, pi,
-                           x_angles=x_angles, x_radii=x_radii,
-                           f_angles=f_angles, f_radii=f_radii,
-                           refine_rounds=refine_rounds, outer_gap=outer_gap)
+        xm, fm = _ball_mesh(config, xm), _ball_mesh(config, fm)
+    return _sup_over_pairs(space, xm, fm, 1.0 - delta, pi, refine_rounds=refine_rounds)

@@ -542,9 +542,10 @@ def sphere_sample(space: NormedSpace, config: EstimatorConfig) -> np.ndarray:
 
 
 def mesh_gap(space: NormedSpace, pts: np.ndarray, seed: int = 0) -> float:
-    """Largest gap of a sphere mesh in the space's own norm.
+    """Largest gap of a unit-sphere mesh in the space's own norm.
 
-    Exact cyclic-adjacency bound in 2-d; probe-based estimate otherwise.
+    Exact cyclic-adjacency bound in 2-d; otherwise an estimate from probes on
+    the unit sphere, so a mesh scaled by r takes r times its unit gap.
     """
     if space.dim == 1:
         return 0.0

@@ -14,6 +14,7 @@ from bpbmod import (CorrectorSearchError, EmptyConstraintError, EstimatorConfig,
                     phi_lower_bound, phi_upper_bound)
 from bpbmod import moduli, pi_set
 from bpbmod.moduli import audit_alpha_interior, convexity_profile
+from bpbmod.pi_set import Mesh
 from bpbmod.spaces import mesh_gap
 
 RNG = np.random.default_rng(20240810)
@@ -98,6 +99,14 @@ def test_phi_mut_saturated_regime_off_the_sweep(verts):
     est = estimate_phi_mut(Polytope(verts), q(0.5, 1, 0.3), EstimatorConfig(resolution=400))
     assert est.value == pytest.approx(0.5, abs=1e-12)
     assert est.mesh_error <= 0.021
+
+
+def test_phi_mut_3d_gap_is_the_scaled_mesh_gap():
+    # a mesh scaled by mu has mu times the unit gap; unit-sphere probes
+    # against the scaled mesh read 0.557 here
+    est = estimate_phi_mut(parse_space("l2:3"), q(0.5, 1, 0.6), EstimatorConfig(resolution=40))
+    assert est.mesh_error < 0.2
+    assert abs(est.value - hilbert_modulus(q(1, 0.5, 0.6))) <= est.mesh_error
 
 
 def test_phi_mut_empty_constraint_set():
@@ -205,7 +214,8 @@ def test_pair_sweeps_match_dense_oracle(sweep_spaces, tile_rows, data, seed, n):
     band = 2.0 * mesh_gap(space, pts, cfg.seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pi_set, "_TILE_ELEMS", tile_rows * n * dim)
-        mp.setattr(moduli, "_alpha_points", lambda space, config: (None, pts))
+        mp.setattr(moduli, "_alpha_points",
+                   lambda space, config: Mesh(pts, None, None, mesh_gap(space, pts, config.seed)))
         rep = estimate_alpha(space, cfg)
         assert type(rep.alpha) is float
         assert rep.alpha == 2.0 - float(obj[i0, j0])

@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from bpbmod import (EstimatorConfig, HilbertPair, distance_to_pi,
                     hausdorff_modulus_set, hilbert_distance, is_in_pi,
                     pair_state, parse_space, sample_pi)
-from bpbmod import pi_set
+import bpbmod
+from bpbmod import moduli, pi_set
 from bpbmod.pi_set import EmptyConstraintError, build_pi_sample
 
 RNG = np.random.default_rng(20240810)
@@ -218,8 +221,35 @@ def test_argmax_pair_is_feasible(linf, cfg_fast):
 def test_pi_sample_gap_positive(hexagon):
     pi = build_pi_sample(hexagon, EstimatorConfig(resolution=64))
     assert pi.gap > 0
-    assert pi.sweep_count == 64
+    assert len(pi.sweep.points) == 64
     assert len(pi.faces) == 6
+
+
+def test_sphere_mesh_is_built_once_and_read_only(l2, hexagon):
+    cfg = EstimatorConfig(resolution=32)
+    mesh = pi_set._sphere_mesh(l2, cfg)
+    # one array serves the Pi sample, the pair sweeps, alpha and convexity
+    assert pi_set._cached_pi_sample(l2, cfg).points is mesh.points
+    assert moduli._alpha_points(l2, cfg) is mesh
+    # a warm sweep builds no mesh: the dual mesh is keyed on the Pi sample's
+    # dual, not on a fresh polytope dual, which hashes by identity
+    hausdorff_modulus_set(hexagon, 0.5, "ball", cfg)
+    misses = pi_set._sphere_mesh.cache_info().misses
+    hausdorff_modulus_set(hexagon, 0.5, "ball", cfg)
+    assert pi_set._sphere_mesh.cache_info().misses == misses
+    for a in (mesh.points, mesh.angles):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_program_caches_are_private():
+    # perfbench finds the caches to clear by their cache_clear, and its tracer
+    # rebinds every public function, which would hide a public cache
+    for info in pkgutil.iter_modules(bpbmod.__path__):
+        mod = importlib.import_module(f"bpbmod.{info.name}")
+        for name, obj in vars(mod).items():
+            if callable(getattr(obj, "cache_clear", None)):
+                assert name.startswith("_"), f"{mod.__name__}.{name}"
 
 
 # ---------------------------------------------------------------------------
