@@ -16,7 +16,7 @@ import numpy as np
 from .closed_forms import ALPHA_CEILING, ModulusQuery, RegimeError
 from .pi_set import (EmptyConstraintError, Mesh, ModulusEstimate, PairState, PiWitness,
                      _cached_pi_sample, _distance_core, _sphere_mesh, _sup_over_pairs,
-                     _tile_rows, _zoom)
+                     _tile_rows, _zoom, is_in_pi)
 # the modulus at level delta in ball or sphere mode, under its short name
 from .pi_set import hausdorff_modulus_set as estimate_phi
 from .spaces import EstimatorConfig, NormedSpace, SpaceError, sphere_chart
@@ -164,8 +164,8 @@ def estimate_alpha(space: NormedSpace,
             u, v = sphere_chart(space, phi1), sphere_chart(space, phi2)
             return -(space.norm_rows(u + v) + space.norm_rows(u - v)) / 2.0
 
-        (c1, c2), v = _zoom(score, (mesh.angles[i0], mesh.angles[j0]), 2.0 * math.pi / len(pts),
-                            -best, rounds=4, npts=5, shrink=0.35)
+        ((c1, c2),), (v,) = _zoom(score, [[mesh.angles[i0], mesh.angles[j0]]],
+                                  2.0 * math.pi / len(pts), [-best], rounds=4, npts=5, shrink=0.35)
         if -v > best:
             best, bx, by = float(-v), sphere_chart(space, [c1])[0], sphere_chart(space, [c2])[0]
 
@@ -281,13 +281,13 @@ def bpb_corrector(space: NormedSpace, p: PairState, delta: float, k: float,
     b1 = delta / k
     b2 = 2.0 * k - (2.0 / 3.0) * k * alpha_tilde
     pi = _cached_pi_sample(space, config)
-    w = _distance_core(space, p, pi,
-                       score=lambda a, b: np.maximum(a - b1, 0.0) + np.maximum(b - b2, 0.0))
-    a, b = space.norm(p.x - w.y), pi.dual.norm(p.f - w.g)
-    if w.distance > 1e-12:
+    v, y, g = _distance_core(space, p.x[None], p.f[None], [is_in_pi(space, p)], pi,
+                             score=lambda a, b: np.maximum(a - b1, 0.0) + np.maximum(b - b2, 0.0))
+    a, b = space.norm(p.x - y[0]), pi.dual.norm(p.f - g[0])
+    if v[0] > 1e-12:
         raise CorrectorSearchError(
             f"no attainment pair met both bounds (best slacks {b1 - a:.3e}, {b2 - b:.3e})",
             best_slacks=(b1 - a, b2 - b))
-    return CorrectorResult(witness=PiWitness(w.y, w.g, max(a, b)),
+    return CorrectorResult(witness=PiWitness(y[0], g[0], max(a, b)),
                            slack_x=b1 - a, slack_f=b2 - b)
 

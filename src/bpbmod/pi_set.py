@@ -10,11 +10,13 @@ Pi(X) (covering the face structure of polytopal balls in two dimensions),
 computes certified-upper-bound distances with local refinement, and runs the
 grid suprema that estimate the almost-attainment moduli.
 
-Two-dimensional refinement runs in angles through one chart,
-``spaces.sphere_chart`` with ``support_rows``, and one grid zoom, ``_zoom``,
-which scores each round's whole grid in one array call.  A distance zooms
-into up to three basins of the cyclic sweep profile (the best sample and the
-two lowest other local minima), then polishes by golden section.
+One search, ``_distance_core``, serves a batch of query pairs: each stage
+but the euclidean closed forms is a few array calls over all pairs, and each
+pair gets bitwise its own result.  2-d refinement runs through ``sphere_chart``
+with ``support_rows``; ``_zoom`` and ``_golden_min`` run one lane per grid or
+bracket.  A distance zooms into up to three basins of the cyclic sweep
+profile (the best sample and the two lowest other local minima), then
+polishes by golden section; a modulus zooms its best pairs in lock-step.
 
 The grid suprema stream over fixed-size tiles of x rows in two passes.
 The first pass tests the action only, marking the x rows and functionals
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import GeneratorType
 
 import numpy as np
 
@@ -215,51 +218,88 @@ def sample_pi(space: NormedSpace, config: EstimatorConfig) -> list[tuple[np.ndar
 # Distance of a pair to Pi(X)
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 60):
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
+def _golden_lane(a: float, b: float, iters: int):
+    """Golden section on [a, b]: yields each point and receives its value, then yields (t, min)."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc = yield c
+    fd = yield d
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
+            fd = yield d
+    yield (c, fc) if fc <= fd else (d, fd)
+
+
+def _golden_min(fn, lo, hi, iters: int = 60):
+    """Golden-section minima of unimodal functions, one lane per bracket [lo[i], hi[i]].
+
+    ``lo`` and ``hi`` are lists of floats.  Each lane is a ``_golden_lane``
+    in Python floats; every step makes one ``fn`` call on the array of all
+    lanes' next points.  Returns the lanes' minimizers and values.
+    """
+    lanes = [_golden_lane(a, b, iters) for a, b in zip(lo, hi)]
+    pts = [next(lane) for lane in lanes]
+    for _ in range(iters + 2):
+        pts = list(map(GeneratorType.send, lanes, fn(np.array(pts)).tolist()))
+    return tuple(zip(*pts))
 
 
 def _zoom(score, center, halfwidth, best, *, rounds: int, npts: int, shrink: float):
-    """Shrinking product-grid minimizer over one or two angles; robust to kinks.
+    """Shrinking product-grid minimizers over one or two angles; robust to kinks.
 
-    Each round scores the ``npts``-per-axis grid around ``center`` with one
-    ``score(*axes)`` call on the flattened grid, moves to its lowest value
-    only if that strictly beats the incumbent ``best`` (ties go to the
-    lowest grid index), and shrinks the half-widths by ``shrink``.  Returns
-    the final center and value.  Maximizers pass the negated score.
+    One lane per row of ``center`` (L, k), with incumbent values ``best``.
+    Each round scores the ``npts``-per-axis grid around every lane's center
+    with one ``score(*axes)`` call on the flattened grids, lane after lane.
+    A lane moves to its lowest value only if that strictly beats its
+    incumbent (ties go to the lowest grid index), and all half-widths shrink
+    by ``shrink``.  Returns the final centers and values.  Maximizers pass
+    the negated score.
     """
-    center = np.array(center, dtype=float, ndmin=1)
+    center, best = np.array(center, dtype=float), np.array(best, dtype=float)
     w = np.broadcast_to(np.asarray(halfwidth, dtype=float), center.shape)
+    lanes, k = center.shape
+    idx = np.indices((npts,) * k).reshape(k, -1)  # the ij-ordered product grid
+    pick = np.arange(lanes)
     for _ in range(rounds):
-        axes = [np.linspace(c - h, c + h, npts) for c, h in zip(center, w)]
-        grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-        vals = score(*grid)
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best, center = vals[k], np.array([g[k] for g in grid])
+        # np.linspace(c - h, c + h, npts) per lane and axis, bitwise
+        lo, hi = center - w, center + w
+        axes = np.arange(npts) * ((hi - lo) / (npts - 1))[..., None] + lo[..., None]
+        axes[..., -1] = hi
+        grid = [axes[:, j, idx[j]] for j in range(k)]
+        vals = score(*[g.ravel() for g in grid]).reshape(lanes, idx.shape[1])
+        low = vals.argmin(axis=1)
+        moved = vals[pick, low] < best
+        best = np.where(moved, vals[pick, low], best)
+        center = np.where(moved[:, None], np.stack([g[pick, low] for g in grid], axis=1), center)
         w = w * shrink
     return center, best
 
 
-def _sweep_gaps(space: NormedSpace, dual: NormedSpace, p: PairState, phi):
-    """Attainment pairs (y, g) at chart angles and the gaps |x - y|, |f - g|*."""
+def _sweep_gaps(space: NormedSpace, dual: NormedSpace, x, f, phi):
+    """Gaps |x - y|, |f - g|* from rows x, f to the attainment pairs (y, g) at chart angles."""
     y = sphere_chart(space, phi)
-    g = space.support_rows(y)
-    return y, g, space.norm_rows(p.x - y), dual.norm_rows(p.f - g)
+    return space.norm_rows(x - y), dual.norm_rows(f - space.support_rows(y))
+
+
+def _actions(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Row-wise np.dot(f, x): a stacked matmul keeps its bits, a sum does not."""
+    return (f[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def _vnorm(v: np.ndarray) -> float:
+    """np.linalg.norm of a vector, bitwise: the root of its dot with itself."""
+    return math.sqrt(v.dot(v))
+
+
+def _in_pi(nx, nf, act) -> np.ndarray:
+    """Row-wise ``is_in_pi`` of pairs given by their norms and actions."""
+    return (np.abs(nx - 1.0) <= 1e-9) & (np.abs(nf - 1.0) <= 1e-9) & (np.abs(act - 1.0) <= 1e-9)
 
 
 def _hilbert_witness_candidates(x: np.ndarray, f: np.ndarray) -> list[np.ndarray]:
@@ -269,7 +309,7 @@ def _hilbert_witness_candidates(x: np.ndarray, f: np.ndarray) -> list[np.ndarray
     the equidistant sphere point in the plane of x and f; all three are
     produced (degenerate configurations fall back to fewer candidates).
     """
-    nx, nf = float(np.linalg.norm(x)), float(np.linalg.norm(f))
+    nx, nf = _vnorm(x), _vnorm(f)
     cands = []
     if nx == 0.0 and nf == 0.0:
         z = np.zeros_like(x)
@@ -282,7 +322,7 @@ def _hilbert_witness_candidates(x: np.ndarray, f: np.ndarray) -> list[np.ndarray
     # plane basis through x and f
     e1 = cands[0]
     w = f - np.dot(f, e1) * e1 if nf > 0.0 else np.zeros_like(x)
-    nw = float(np.linalg.norm(w))
+    nw = _vnorm(w)
     if nw > 1e-12:
         e2 = w / nw
     else:
@@ -290,7 +330,7 @@ def _hilbert_witness_candidates(x: np.ndarray, f: np.ndarray) -> list[np.ndarray
         k = int(np.argmin(np.abs(e1)))
         e2[k] = 1.0
         e2 -= np.dot(e2, e1) * e1
-        e2 /= np.linalg.norm(e2)
+        e2 /= _vnorm(e2)
     x2 = np.array([np.dot(x, e1), np.dot(x, e2)])
     f2 = np.array([np.dot(f, e1), np.dot(f, e2)])
     d2 = float(np.dot(x2 - f2, x2 - f2))
@@ -305,86 +345,111 @@ def _hilbert_witness_candidates(x: np.ndarray, f: np.ndarray) -> list[np.ndarray
         lam_rad = max(0.0, 4.0 * d2 - (a2 - b2) ** 2)
         lam = (-2.0 * cross + math.sqrt(lam_rad)) / (2.0 * d2)
         m2 = (x2 + f2) / 2.0 + lam * z
-        nm = float(np.linalg.norm(m2))
+        nm = _vnorm(m2)
         if nm > 0.0:
             cands.append((m2[0] * e1 + m2[1] * e2) / nm)
     return cands
 
 
-def _distance_core(space: NormedSpace, p: PairState, pi: PiSample,
-                   level: int = 2, score=np.maximum) -> PiWitness:
-    """Attainment pair minimizing ``score(|x - y|, |f - g|*)``, with that score.
+def _distance_core(space: NormedSpace, x, f, in_pi, pi: PiSample, level: int = 2,
+                   score=np.maximum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Attainment pairs minimizing ``score(|x - y|, |f - g|*)`` for Q query rows.
 
+    ``x`` and ``f`` are (Q, d) rows and ``in_pi`` flags the rows that lie in
+    Pi (``is_in_pi``); returns the Q scores and the witness rows y and g.
     ``score`` works elementwise, is nondecreasing in each gap and is 0 at
-    (0, 0); the default max gives the max-metric distance.  The search
-    stops refining once the score is 0.
+    (0, 0); the default max gives the max-metric distance.  A row stops
+    refining once its score is 0.  Every stage but the euclidean closed forms
+    is a few array calls over all rows; row kernels do not depend on the
+    batch, so each row's result is bitwise the one it gets alone.
 
     level 0: discrete minimum over the sample.
     level 1: + dual-face segments and euclidean closed-form candidates.
     level 2: + golden/zoom refinement along the sphere sweep.
     """
     dual = pi.dual
-    d1 = space.norm_rows(p.x[None, :] - pi.points)
-    d2 = dual.norm_rows(p.f[None, :] - pi.functionals)
-    vals = score(d1, d2)
-    i0 = int(np.argmin(vals))
-    best = (float(vals[i0]), pi.points[i0], pi.functionals[i0])
+    nq, dim = x.shape
+    vals = score(space.norm_rows((x[:, None, :] - pi.points).reshape(-1, dim)).reshape(nq, -1),
+                 dual.norm_rows((f[:, None, :] - pi.functionals).reshape(-1, dim)).reshape(nq, -1))
+    i0 = vals.argmin(axis=1)
+    best, ys, gs = vals.min(axis=1), pi.points.take(i0, axis=0), pi.functionals.take(i0, axis=0)
+    for q, inside in enumerate(in_pi):
+        if inside and best[q] > 0.0:
+            best[q], ys[q], gs[q] = 0.0, x[q], f[q]
 
-    if is_in_pi(space, p, tol=1e-9) and best[0] > 0.0:
-        best = (0.0, p.x, p.f)
-
-    if level >= 1 and best[0] > 0.0:
+    if level >= 1 and pi.faces and best.any():  # scores are >= 0: some row is above 0
         # convex 1-d minimization over each dual-face segment; the score is
-        # nondecreasing in the functional gap, so minimizing that gap suffices
-        for seg in pi.faces:
-            cx = space.norm(p.x - seg.vertex)
-            if score(cx, 0.0) >= best[0]:
-                continue
-            glo, ghi = seg.g_lo, seg.g_hi
+        # nondecreasing in the functional gap, so minimizing that gap suffices.
+        # One golden lane per (row, face) that passes the face's skip test
+        # score(cx, 0) < best now; the faces then apply in order under the
+        # same test against the running best, as a face-by-face loop would
+        verts = np.array([seg.vertex for seg in pi.faces])
+        cx = space.norm_rows((x[:, None, :] - verts).reshape(-1, dim)).reshape(nq, -1)
+        lq, ls = np.nonzero(score(cx, 0.0) < best[:, None])
+        if lq.size:
+            lo, hi = np.array([(seg.g_lo, seg.g_hi) for seg in pi.faces])[ls].transpose(1, 0, 2)
+            fl = f[lq]
 
-            def q(t, glo=glo, ghi=ghi):
-                return dual.norm(p.f - ((1.0 - t) * glo + t * ghi))
+            def gap(t):
+                return dual.norm_rows(fl - ((1.0 - t)[:, None] * lo + t[:, None] * hi))
 
-            t_best, q_best = _golden_min(q, 0.0, 1.0, iters=40)
-            v = float(score(cx, q_best))
-            if v < best[0]:
-                g = (1.0 - t_best) * glo + t_best * ghi
-                best = (v, seg.vertex, g / dual.norm(g))
-        # exact euclidean candidates
-        if isinstance(space, Lp) and space.p == 2.0 and space.dim >= 2:
-            for z in _hilbert_witness_candidates(p.x, p.f):
-                v = float(score(np.linalg.norm(p.x - z), np.linalg.norm(p.f - z)))
-                if v < best[0]:
-                    best = (v, z, z)
+            ts, qs = _golden_min(gap, [0.0] * lq.size, [1.0] * lq.size, iters=40)
+            t = np.array(ts)
+            g = (1.0 - t)[:, None] * lo + t[:, None] * hi
+            g = g / dual.norm_rows(g)[:, None]
+            v = score(cx[lq, ls], np.array(qs))
+            for r in np.argsort(ls, kind="stable"):
+                q, s = lq[r], ls[r]
+                if score(cx[q, s], 0.0) < best[q] and v[r] < best[q]:
+                    best[q], ys[q], gs[q] = v[r], verts[s], g[r]
+    if level >= 1 and isinstance(space, Lp) and space.p == 2.0 and space.dim >= 2:
+        # exact euclidean candidates: closed forms, row by row
+        for q in np.flatnonzero(best > 0.0):
+            for z in _hilbert_witness_candidates(x[q], f[q]):
+                v = score(_vnorm(x[q] - z), _vnorm(f[q] - z))
+                if v < best[q]:
+                    best[q], ys[q], gs[q] = v, z, z
 
-    if level >= 2 and pi.sweep.angles is not None and best[0] > 0.0:
-        step = 2.0 * math.pi / len(pi.sweep.points)
-        # zoom into the best sweep sample and the two lowest other local
-        # minima of the cyclic sweep profile
-        profile = vals[: len(pi.sweep.points)]
-        i_sweep = int(np.argmin(profile))
-        minima = np.flatnonzero((profile < np.roll(profile, 1)) & (profile <= np.roll(profile, -1)))
-        minima = minima[np.argsort(profile[minima], kind="stable")]
-        basins = [i_sweep] + [int(i) for i in minima if i != i_sweep][:2]
-
-        def sweep_score(phi):
-            return score(*_sweep_gaps(space, dual, p, phi)[2:])
-
+    live = np.flatnonzero(best > 0.0) if level >= 2 and pi.sweep.angles is not None else ()
+    if len(live):
+        n = len(pi.sweep.points)
+        step = 2.0 * math.pi / n
+        # zoom into each row's best sweep sample and the two lowest other
+        # local minima of its cyclic sweep profile
+        profile = vals[live, :n]
+        minima = (profile < np.roll(profile, 1, axis=1)) & (profile <= np.roll(profile, -1, axis=1))
+        lanes, first = [], [0]
+        for r, q in enumerate(live):
+            i_sweep = int(np.argmin(profile[r]))
+            m = np.flatnonzero(minima[r])
+            m = m[np.argsort(profile[r, m], kind="stable")]
+            lanes += [(q, i) for i in [i_sweep] + [int(i) for i in m if i != i_sweep][:2]]
+            first.append(len(lanes))
+        lq, basin = np.array(lanes).T
+        phi0 = pi.sweep.angles[basin]
         rounds, npts = 4, 13
-        starts = [pi.sweep.angles[i : i + 1] for i in basins]
-        zoomed = [_zoom(sweep_score, phi0, step, sweep_score(phi0)[0], rounds=rounds, npts=npts,
-                        shrink=2.0 / (npts - 1)) for phi0 in starts]
-        # polish the best sample's basin, and the best zoomed one if it is another
-        k = min(range(len(zoomed)), key=lambda k: zoomed[k][1])
-        w = step * (2.0 / (npts - 1)) ** rounds
-        for (phi_zoom,), _ in [zoomed[0]] + [zoomed[k]] * (k > 0):
-            phi_best, v = _golden_min(lambda t: sweep_score(np.array([t]))[0],
-                                      phi_zoom - 2.0 * w, phi_zoom + 2.0 * w, iters=50)
-            if v < best[0]:
-                y, g, _, _ = _sweep_gaps(space, dual, p, [phi_best])
-                best = (float(v), y[0], g[0])
+        xg, fg = np.repeat(x[lq], npts, axis=0), np.repeat(f[lq], npts, axis=0)
+        start = score(*_sweep_gaps(space, dual, x[lq], f[lq], phi0))
+        zoomed, zv = _zoom(lambda phi: score(*_sweep_gaps(space, dual, xg, fg, phi)),
+                           phi0[:, None], step, start, rounds=rounds, npts=npts,
+                           shrink=2.0 / (npts - 1))
+        # polish each row's best-sample basin, and its best zoomed one if that is another
+        pl = []
+        for a, b in zip(first, first[1:]):
+            k = a + int(np.argmin(zv[a:b]))
+            pl += [a] + [k] * (k > a)
+        pq = lq[pl]
+        xp, fp = x[pq], f[pq]
+        c, w = zoomed[pl, 0], step * (2.0 / (npts - 1)) ** rounds
+        ts, vs = _golden_min(lambda t: score(*_sweep_gaps(space, dual, xp, fp, t)),
+                             (c - 2.0 * w).tolist(), (c + 2.0 * w).tolist(), iters=50)
+        y = sphere_chart(space, ts)
+        g = space.support_rows(y)
+        for r, q in enumerate(pq):
+            if vs[r] < best[q]:
+                best[q], ys[q], gs[q] = vs[r], y[r], g[r]
 
-    return PiWitness(np.array(best[1]), np.array(best[2]), best[0])
+    return best, ys, gs
 
 
 def distance_to_pi(space: NormedSpace, p: PairState,
@@ -399,7 +464,8 @@ def distance_to_pi(space: NormedSpace, p: PairState,
     pi = _cached_pi_sample(space, config)
     if len(pi.points) == 0:
         raise EmptyConstraintError("empty attainment sample")
-    return _distance_core(space, p, pi, level=2)
+    d, y, g = _distance_core(space, p.x[None], p.f[None], [is_in_pi(space, p)], pi, level=2)
+    return PiWitness(y[0], g[0], float(d[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -486,56 +552,62 @@ def _sup_over_pairs(space, xm: Mesh, fm: Mesh, floor, pi, *, refine_rounds=3):
 
     ``xm`` meshes points of the space and ``fm`` functionals of ``pi.dual``.
     Feasibility is ``dot(f, x) >= floor`` (up to 1e-12 to keep exact-equality
-    constructions feasible in floating point).  In 2-d the best mesh pairs
-    are refined by a zoom over both chart angles whose first half-width is
-    the sweep step 2 pi / len(pi.sweep.points).  The mesh error is
-    max(xm.gap, fm.gap) / 2 + pi.gap / 2.  Returns a ModulusEstimate;
-    deterministic: the argmax tie-breaks to the lowest (i, j).
+    constructions feasible in floating point).  In 2-d the best mesh pairs,
+    up to ``_TOP_K`` seeds, are zoomed in lock-step over both chart angles,
+    with a first half-width of the sweep step 2 pi / len(pi.sweep.points):
+    each round is one level-1 distance search over every feasible grid point
+    of every seed.  One level-2 search then refines the seeds and the zoomed
+    pairs together.  The mesh error is max(xm.gap, fm.gap) / 2 + pi.gap / 2.
+    Returns a ModulusEstimate; deterministic: the argmax tie-breaks to the
+    lowest (i, j), and a zoomed pair must beat it strictly.
     """
     dual = pi.dual
     xs, fs = xm.points, fm.points
     best_val, best_j = _scan_pairs(space, dual, xs, fs, floor, pi)
 
     order = np.argsort(-best_val, kind="stable")[:_TOP_K]
-    seeds = [(int(i), int(best_j[i])) for i in order if np.isfinite(best_val[i])]
-    if not seeds:
+    si = order[np.isfinite(best_val[order])]
+    if not si.size:
         raise EmptyConstraintError("constraint set has no usable sampled pair")
-
-    def refined(x, f):
-        pr = PairState(x, f, space.norm(x), dual.norm(f), float(np.dot(f, x)))
-        w = _distance_core(space, pr, pi, level=2)
-        return w.distance, pr, w
-
-    best = max((refined(xs[i], fs[j]) for i, j in seeds), key=lambda b: b[0])
+    sj = best_j[si]
+    x, f = xs[si], fs[sj]
     if xm.angles is not None and refine_rounds > 0:  # 2-d: zoom over both sweep angles
         step = 2.0 * math.pi / len(pi.sweep.points)
-        for i, j in seeds:
-            rx = 1.0 if xm.radii is None else float(xm.radii[i])
-            rf = 1.0 if fm.radii is None else float(fm.radii[j])
-            if rx == 0.0 and rf == 0.0:
-                continue
+        rx = np.ones(len(si)) if xm.radii is None else xm.radii[si]
+        rf = np.ones(len(sj)) if fm.radii is None else fm.radii[sj]
+        zl = np.flatnonzero((rx != 0.0) | (rf != 0.0))
+        npts = 5
+        rxg, rfg = np.repeat(rx[zl], npts * npts), np.repeat(rf[zl], npts * npts)
 
-            def score(phix, phif, rx=rx, rf=rf):
-                # minus the level-1 distance; infeasible pairs score +inf
-                x, f = sphere_chart(space, phix, rx), sphere_chart(dual, phif, rf)
-                # row-wise np.dot(f, x): a stacked matmul keeps its bits, a sum does not
-                act = (f[:, None, :] @ x[:, :, None])[:, 0, 0]
-                nx, nf = space.norm_rows(x), dual.norm_rows(f)
-                out = np.full(len(x), np.inf)
-                for k in np.flatnonzero(act >= floor - 1e-12):
-                    pr = PairState(x[k], f[k], nx[k], nf[k], act[k])
-                    out[k] = -_distance_core(space, pr, pi, level=1).distance
-                return out
+        def score(phix, phif):
+            # minus the level-1 distance; infeasible pairs score +inf
+            gx, gf = sphere_chart(space, phix, rxg), sphere_chart(dual, phif, rfg)
+            act = _actions(gx, gf)
+            ok = np.flatnonzero(act >= floor - 1e-12)
+            out = np.full(len(gx), np.inf)
+            if ok.size:
+                gx, gf = gx[ok], gf[ok]
+                in_pi = _in_pi(space.norm_rows(gx), dual.norm_rows(gf), act[ok])
+                out[ok] = -_distance_core(space, gx, gf, in_pi, pi, level=1)[0]
+            return out
 
-            (cx, cf), v = _zoom(score, (xm.angles[i], fm.angles[j]), step, np.inf,
-                                rounds=refine_rounds, npts=5, shrink=0.35)
-            if v < np.inf:
-                cand = refined(sphere_chart(space, [cx], rx)[0], sphere_chart(dual, [cf], rf)[0])
-                if cand[0] > best[0]:
-                    best = cand
+        centers, v = _zoom(score, np.column_stack([xm.angles[si[zl]], fm.angles[sj[zl]]]), step,
+                           np.full(len(zl), np.inf), rounds=refine_rounds, npts=npts, shrink=0.35)
+        zl, centers = zl[v < np.inf], centers[v < np.inf]
+        x = np.concatenate([x, sphere_chart(space, centers[:, 0], rx[zl])])
+        f = np.concatenate([f, sphere_chart(dual, centers[:, 1], rf[zl])])
 
+    # one refinement of the seeds and the zoomed pairs; the best seed, then
+    # each zoomed pair in seed order if it is strictly larger
+    nx, nf, act = space.norm_rows(x), dual.norm_rows(f), _actions(x, f)
+    d, y, g = _distance_core(space, x, f, _in_pi(nx, nf, act), pi, level=2)
+    k = int(np.argmax(d[: len(si)]))
+    for c in range(len(si), len(x)):
+        if d[c] > d[k]:
+            k = c
+    pair = PairState(x[k], f[k], float(nx[k]), float(nf[k]), float(act[k]))
     mesh_error = max(xm.gap, fm.gap) / 2.0 + pi.gap / 2.0
-    return ModulusEstimate(best[0], mesh_error, best[1], best[2])
+    return ModulusEstimate(float(d[k]), mesh_error, pair, PiWitness(y[k], g[k], float(d[k])))
 
 
 @lru_cache(maxsize=64)

@@ -327,6 +327,11 @@ class Polytope(NormedSpace):
         return total / active.sum(axis=1)[:, None]
 
     def dual(self):
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "Polytope":
+        # one instance: a polytope hashes by identity, and caches key on it
         normals, offsets = self._facets
         return Polytope(normals / offsets[:, None])
 
@@ -499,15 +504,17 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def sphere_chart(space: NormedSpace, angles, radius: float = 1.0) -> np.ndarray:
+def sphere_chart(space: NormedSpace, angles, radius=1.0) -> np.ndarray:
     """The 2-d angular chart: rows ``radius * u / |u|`` at u = (cos t, sin t).
 
-    Every angle-to-sphere step in the package goes through this map, so a
-    refined point is bitwise the point the sample holds at the same angle.
-    Each row depends on its own angle only, whatever the batch.
+    ``radius`` is one value or one per angle.  Every angle-to-sphere step in
+    the package goes through this map, so a refined point is bitwise the
+    point the sample holds at the same angle and radius.  Each row depends
+    on its own angle and radius only, whatever the batch.
     """
     angles = np.asarray(angles, dtype=float)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    radius = radius if np.isscalar(radius) else radius[:, None]
     return radius * dirs / space.norm_rows(dirs)[:, None]
 
 

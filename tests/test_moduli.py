@@ -160,6 +160,21 @@ def test_alpha_self_dual(l1, l2, hexagon, cfg):
     assert abs(ra.alpha - rd.alpha) <= 2e-2
 
 
+def test_alpha_self_dual_reuses_one_polytope_dual():
+    # a polytope hashes by identity, so a fresh dual at every call missed the
+    # mesh cache and parked one more dead mesh in it
+    hexa = Polytope(np.array([[math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)]
+                              for k in range(6)]))
+    assert hexa.dual() is hexa.dual()
+    cfg = EstimatorConfig(resolution=64)
+    first = check_alpha_self_dual(hexa, cfg)
+    misses = pi_set._sphere_mesh.cache_info().misses
+    for _ in range(2):
+        again = check_alpha_self_dual(hexa, cfg)
+        assert pi_set._sphere_mesh.cache_info().misses == misses
+        assert [r.alpha for r in again] == [r.alpha for r in first]
+
+
 # ---------------------------------------------------------------------------
 # modulus of convexity
 

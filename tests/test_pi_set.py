@@ -162,6 +162,115 @@ def test_distance_real_line(r1, cfg):
 
 
 # ---------------------------------------------------------------------------
+# the batched attainment-pair search: lanes are independent
+
+
+SEARCH_SPACES = ["linf:2", "l2:2", "lp:2:p=1.5", "l1:2", "hexagon", "sum1(r:1,r:1)",
+                 "suminf(r:1,r:1)", "l2:3"]
+HEXAGON = np.array([[math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)] for k in range(6)])
+
+
+def _search_space(name):
+    return bpbmod.Polytope(HEXAGON) if name == "hexagon" else parse_space(name)
+
+
+def _query_rows(space, pi, rng, n):
+    """Ball pairs, unit pairs near attainment and attainment pairs off the sample."""
+    x, f = _ball_rows(space, rng, n), _ball_rows(pi.dual, rng, n)
+    y = rng.standard_normal((n, space.dim))
+    y /= space.norm_rows(y)[:, None]
+    g = space.support_rows(y)
+    kind = rng.integers(0, 3, n)[:, None]
+    near = g + 0.05 * rng.standard_normal(g.shape)
+    near /= pi.dual.norm_rows(near)[:, None]
+    return np.where(kind == 0, x, y), np.where(kind == 0, f, np.where(kind == 1, near, g))
+
+
+@pytest.mark.parametrize("name", SEARCH_SPACES)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), level=st.sampled_from([0, 1, 2]),
+       bounds=st.one_of(st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))))
+@settings(max_examples=25, deadline=None)
+def test_distance_core_batch_matches_one_row_calls(name, seed, n, level, bounds):
+    # bounds give the corrector's violation score in place of the distance
+    space = _search_space(name)
+    pi = pi_set._cached_pi_sample(space, EstimatorConfig(resolution=8 if space.dim == 3 else 64))
+    x, f = _query_rows(space, pi, np.random.default_rng(seed), n)
+    in_pi = pi_set._in_pi(space.norm_rows(x), pi.dual.norm_rows(f), pi_set._actions(x, f))
+    score = np.maximum
+    if bounds is not None:
+        b1, b2 = bounds
+        score = lambda a, b: np.maximum(a - b1, 0.0) + np.maximum(b - b2, 0.0)  # noqa: E731
+    batch = pi_set._distance_core(space, x, f, in_pi, pi, level, score)
+    for q in range(n):
+        one = pi_set._distance_core(space, x[q : q + 1], f[q : q + 1], in_pi[q : q + 1],
+                                    pi, level, score)
+        for got, want in zip(batch, one):
+            np.testing.assert_array_equal(got[q], want[0])
+
+
+def _scalar_golden(fn, lo, hi, iters):
+    """One-bracket golden section, step for step the lane rule.  Test oracle."""
+    a, b = lo, hi
+    c = b - pi_set._GOLDEN * (b - a)
+    d = a + pi_set._GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - pi_set._GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + pi_set._GOLDEN * (b - a)
+            fd = fn(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+@given(lanes=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 3.0),
+                                st.floats(-4.0, 4.0), st.floats(0.0, 2.0)),
+                      min_size=1, max_size=6),
+       iters=st.integers(0, 50))
+@settings(max_examples=60, deadline=None)
+def test_golden_lanes_match_a_scalar_golden_section(lanes, iters):
+    # lane (lo, width, kink, slope) minimizes |t - kink| + slope (t - kink)^2;
+    # kinks outside the bracket and flat lanes (ties) are included
+    lo = [a for a, _, _, _ in lanes]
+    hi = [a + w for a, w, _, _ in lanes]
+    kink = np.array([k for _, _, k, _ in lanes])
+    slope = np.array([s for _, _, _, s in lanes])
+
+    def fn(t, rows=slice(None)):
+        u = t - kink[rows]
+        return np.abs(u) + slope[rows] * (u * u)
+
+    ts, vs = pi_set._golden_min(fn, lo, hi, iters=iters)
+    for i in range(len(lanes)):
+        t, v = _scalar_golden(lambda s: fn(np.array([s]), [i])[0], lo[i], hi[i], iters)
+        assert (ts[i], vs[i]) == (t, v)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 5), rounds=st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_zoom_lanes_match_per_lane_calls(k, seed, lanes, rounds):
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-4.0, 4.0, (lanes, k))
+    width = rng.uniform(1e-3, 1.0, (lanes, k))
+    best = np.where(rng.random(lanes) < 0.3, np.inf, rng.uniform(-1.0, 2.0, lanes))
+
+    def score(*axes):
+        # kinked, with ties between grid points
+        return sum(np.round(np.abs(np.sin((j + 2) * a)), 2) for j, a in enumerate(axes))
+
+    got_c, got_v = pi_set._zoom(score, center, width, best, rounds=rounds, npts=5, shrink=0.35)
+    for i in range(lanes):
+        c, v = pi_set._zoom(score, center[i : i + 1], width[i : i + 1], best[i : i + 1],
+                            rounds=rounds, npts=5, shrink=0.35)
+        np.testing.assert_array_equal(got_c[i], c[0])
+        assert got_v[i] == v[0]
+
+
+# ---------------------------------------------------------------------------
 # modulus estimation over grid constraint sets
 
 

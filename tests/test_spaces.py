@@ -297,6 +297,18 @@ def test_chart_points_are_attainment_pairs(key, phi):
     np.testing.assert_allclose((funcs * pts).sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("key", TWO_D_KINDS)
+@given(phi=st.lists(angles, min_size=1, max_size=8), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_chart_with_per_row_radii_matches_scalar_radius_calls(key, phi, data):
+    space = KERNEL_SPACES[key]()
+    radii = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=len(phi),
+                                        max_size=len(phi))))
+    rows = sphere_chart(space, phi, radii)
+    for i, (t, r) in enumerate(zip(phi, radii)):
+        np.testing.assert_array_equal(rows[i], sphere_chart(space, [t], float(r))[0])
+
+
 @pytest.mark.parametrize("key", TWO_D_KINDS + ["lp:3:p=1.5", "sum1(l2:2,r:1)", "cube"])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
