@@ -18,14 +18,19 @@ bracket.  A distance zooms into up to three basins of the cyclic sweep
 profile (the best sample and the two lowest other local minima), then
 polishes by golden section; a modulus zooms its best pairs in lock-step.
 
-The grid suprema stream over fixed-size tiles of x rows in two passes.
-The first pass tests the action only, marking the x rows and functionals
-with a feasible partner.  Distance rows are then built for the marked
-functionals alone, and the second pass builds each tile's point distances
-for its marked rows and reduces them row by row.  The one array that grows
-with the mesh is the functionals' distance rows, N_f x N_pi; a sweep that
-would need more than 1 GiB for it raises ``SweepTooLargeError``, a regime
-error, before any work.
+A grid supremum needs only the ``_TOP_K`` best rows of its mesh sweep, and
+``_scan_pairs`` finds them best first over fixed-size tiles of x rows.  A
+first pass tests the action only, marking the x rows and functionals with a
+feasible partner.  The sample distance to Pi is 1-Lipschitz in the max
+metric, so its values on pairs of anchors, every ``_ANCHOR_STEP``-th marked
+row and functional, bound it on every pair; a second pass takes each row's
+bound.  Rows are then evaluated in decreasing bound, and the pairs and at
+last the rows whose bound falls below the ``_TOP_K``-th best value so far
+are skipped.  The seeds, their values and their argmax functionals are
+bitwise those of a scan of every feasible pair.  The one array that grows
+with the mesh is the functionals' distance rows, N_f x N_pi, each built
+when a pair first needs it; a sweep that could need more than 1 GiB for
+them raises ``SweepTooLargeError``, a regime error, before any work.
 
 Estimators are deterministic for a fixed seed and resolution: reductions
 break ties by lowest sample index.
@@ -66,6 +71,9 @@ _TILE_ELEMS = 1 << 17
 _DF_BYTES_MAX = 1 << 30
 # Best mesh rows of a pair sweep that seed its refinement.
 _TOP_K = 4
+# Every _ANCHOR_STEP-th marked row and column of a pair sweep is an anchor
+# of its distance bounds.
+_ANCHOR_STEP = 8
 
 
 class EmptyConstraintError(ValueError):
@@ -369,10 +377,10 @@ def _distance_core(space: NormedSpace, x, f, in_pi, pi: PiSample, level: int = 2
     """
     dual = pi.dual
     nq, dim = x.shape
-    vals = score(space.norm_rows((x[:, None, :] - pi.points).reshape(-1, dim)).reshape(nq, -1),
-                 dual.norm_rows((f[:, None, :] - pi.functionals).reshape(-1, dim)).reshape(nq, -1))
+    vals = score(space.norm_rows((x[:, None, :] - pi.points).reshape(-1, dim)),
+                 dual.norm_rows((f[:, None, :] - pi.functionals).reshape(-1, dim))).reshape(nq, -1)
     i0 = vals.argmin(axis=1)
-    best, ys, gs = vals.min(axis=1), pi.points.take(i0, axis=0), pi.functionals.take(i0, axis=0)
+    best, ys, gs = vals[np.arange(nq), i0], pi.points.take(i0, axis=0), pi.functionals.take(i0, axis=0)
     for q, inside in enumerate(in_pi):
         if inside and best[q] > 0.0:
             best[q], ys[q], gs[q] = 0.0, x[q], f[q]
@@ -487,15 +495,66 @@ def _distance_rows(kernel, rows, targets, out):
     return out
 
 
-def _scan_pairs(space, dual, xs, fs, floor, pi):
-    """Per x row, the max over feasible j of min_k max(|x_i - y_k|, |f_j - g_k|*).
+def _nearest_anchors(kernel, rows, anchors):
+    """Per row, its euclidean-nearest anchor and the ``kernel`` distance to it.
 
-    Returns ``(best_val, best_j)``: argmax ties go to the lowest j, and a row
-    with no feasible j keeps -inf.  Two passes over x-row tiles: the first
-    only marks the rows and columns with a feasible partner; the distance
-    rows ``df`` are then built for the marked columns alone, and the second
-    pass builds each tile's ``dx`` for its marked rows and reduces row by row
-    through scratch buffers allocated once.  No array has N_x x N_f entries.
+    Any anchor would keep the sweep's bounds valid, since the distance
+    returned is the row's exact kernel distance to the anchor it got.
+    """
+    near = np.empty(len(rows), dtype=int)
+    sq = (anchors * anchors).sum(axis=1)
+    step = _tile_rows(len(anchors))
+    for lo in range(0, len(rows), step):
+        near[lo : lo + step] = (sq - 2.0 * (rows[lo : lo + step] @ anchors.T)).argmin(axis=1)
+    return near, kernel(rows - anchors[near])
+
+
+def _row_starts(pr):
+    """Where each run of equal values in the sorted row indices ``pr`` starts."""
+    return np.flatnonzero(np.concatenate(([True], pr[1:] != pr[:-1])))
+
+
+def _pair_minmax(dx, df, pr, pc, buf):
+    """min_k max(dx[pr[p], k], df[pc[p], k]) per pair p, for pairs sorted by pr.
+
+    Each dx row meets the df rows of its pairs in chunks of the scratch buffer.
+    """
+    out = np.empty(len(pr))
+    bounds = np.append(_row_starts(pr), len(pr))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        row = dx[pr[lo]]
+        for c in range(lo, hi, len(buf)):
+            b = buf[: min(len(buf), hi - c)]
+            np.take(df, pc[c : c + len(b)], axis=0, out=b, mode="clip")
+            np.maximum(row, b, out=b)
+            b.min(axis=1, out=out[c : c + len(b)])
+    return out
+
+
+def _scan_pairs(space, dual, xs, fs, floor, pi):
+    """The ``_TOP_K`` best rows of V(x_i) = max over feasible j of V(x_i, f_j), exactly.
+
+    V(x, f) = min_k max(|x - y_k|, |f - g_k|*) is the sample distance.
+    Returns ``(rows, values, cols)``, at most ``_TOP_K`` entries: the rows
+    with a feasible j in the order of a stable sort by decreasing value
+    (ties to the lowest row), each with its value and its lowest argmax j.
+    These are bitwise the first rows of a scan of every feasible pair.
+
+    The search is best first.  Every ``_ANCHOR_STEP``-th marked row and
+    column is an anchor; each marked row i and column j gets its
+    euclidean-nearest anchor a(i), b(j) at exact norm distance r_i, r'_j.
+    V is 1-Lipschitz in the max metric, so
+    UB(i, j) = V(a(i), b(j)) + max(r_i, r'_j) + 1e-9 (float slack) bounds
+    V(x_i, f_j).  V is computed on the anchor pairs that feasible pairs map
+    to, and each row's bound U_i, the max of UB over its feasible j,
+    streams through the x-row tiles.  Rows are then evaluated in decreasing
+    U_i, in batches that grow sixteenfold, each taken tile by tile.  With tau
+    the ``_TOP_K``-th best value so far, the pairs with UB < tau are
+    skipped, and the search stops at the first row with U_i < tau; tau
+    rises after every tile.  Point distance rows are built for the anchors
+    and the evaluated rows only, and functional distance rows for the
+    anchors and when a surviving pair first needs them.  Every feasibility test takes its tile's whole product, so
+    all test the same action bits.  No array has N_x x N_f entries.
     """
     npi, dim = pi.points.shape
     need = len(fs) * npi * 8
@@ -505,46 +564,102 @@ def _scan_pairs(space, dual, xs, fs, floor, pi):
             f"(ceiling {_DF_BYTES_MAX / 2**30:.0f} GiB); lower --resolution")
     thr = floor - 1e-12
     step = _tile_rows(max(len(fs), npi * dim))
-    # every pass tiles the action identically: a BLAS product's last bit
-    # depends on the shape of the call
-    tiles = [(lo, min(lo + step, len(xs))) for lo in range(0, len(xs), step)]
 
     rows_ok = np.zeros(len(xs), dtype=bool)
     cols_ok = np.zeros(len(fs), dtype=bool)
-    for lo, hi in tiles:
-        feas = xs[lo:hi] @ fs.T >= thr
-        rows_ok[lo:hi] = feas.any(axis=1)
+    for lo in range(0, len(xs), step):
+        feas = xs[lo : lo + step] @ fs.T >= thr
+        rows_ok[lo : lo + step] = feas.any(axis=1)
         cols_ok |= feas.any(axis=0)
     if not cols_ok.any():
         raise EmptyConstraintError(
             f"no sampled pair satisfies action >= {floor} (resolution too low)")
+    rows, cols = np.flatnonzero(rows_ok), np.flatnonzero(cols_ok)
 
-    cols = np.flatnonzero(cols_ok)
-    df = _distance_rows(dual.norm_rows, fs[cols], pi.functionals, np.empty((len(cols), npi)))
-    best_val = np.full(len(xs), -np.inf)
-    best_j = np.zeros(len(xs), dtype=int)
-    dx = np.empty((min(step, len(xs)), npi))
-    chunk = min(_tile_rows(npi), len(cols))
-    buf = np.empty((chunk, npi))
-    vals = np.empty(len(cols))
-    for lo, hi in tiles:
-        rows = np.flatnonzero(rows_ok[lo:hi])
-        if rows.size == 0:
+    # anchors; a and b are positions in rows and cols, r and rc the exact
+    # distances to them.  The anchors' distance rows are built first, and
+    # an anchor row's serve its evaluation too
+    ra, ca = rows[::_ANCHOR_STEP], cols[::_ANCHOR_STEP]
+    a, r = _nearest_anchors(space.norm_rows, xs[rows], xs[ra])
+    b, rc = _nearest_anchors(dual.norm_rows, fs[cols], fs[ca])
+    nb = len(ca)
+    buf = np.empty((min(_tile_rows(npi), len(cols)), npi))
+    df = np.empty((len(cols), npi))
+    built = np.zeros(len(cols), dtype=bool)
+    built[::_ANCHOR_STEP] = True
+    _distance_rows(dual.norm_rows, fs[ca], pi.functionals, df[::_ANCHOR_STEP])
+    dxa = _distance_rows(space.norm_rows, xs[ra], pi.points, np.empty((len(ra), npi)))
+    v_anchor = np.full(len(ra) * nb, np.nan)
+
+    def pairs(lo, p):
+        # the feasible pairs of rows p in the tile at lo, by row and then
+        # column, with their anchor pairs.  Feasibility comes from the
+        # product of the whole tile, as the marking pass took it: a BLAS
+        # product's last bit depends on the shape of the call
+        feas = (xs[lo : lo + step] @ fs.T >= thr)[rows[p] - lo]
+        pr, pc = np.nonzero(feas if len(cols) == len(fs) else feas[:, cols])
+        return pr, pc, a[p[pr]] * nb + b[pc]
+
+    def upper(p, pr, pc, k):
+        return v_anchor[k] + np.maximum(r[p[pr]], rc[pc]) + 1e-9
+
+    def row_max(pr, vals):
+        # per row present in pr: the max of vals and the position of its first hit
+        first = _row_starts(pr)
+        best = np.maximum.reduceat(vals, first)
+        hit = np.flatnonzero(vals == np.repeat(best, np.diff(np.append(first, len(pr)))))
+        return first, best, hit[np.searchsorted(hit, first)]
+
+    # U, tile by tile, with V on an anchor pair the first time a feasible
+    # pair maps to it; every marked row has a feasible pair
+    u = np.empty(len(rows))
+    for lo in range(0, len(xs), step):
+        p = np.arange(*np.searchsorted(rows, [lo, lo + step]))
+        if p.size == 0:
             continue
-        feas = (xs[lo:hi] @ fs.T >= thr)[np.ix_(rows, cols)]
-        _distance_rows(space.norm_rows, xs[lo + rows], pi.points, dx[: len(rows)])
-        for r, i in enumerate(lo + rows):
-            js = np.flatnonzero(feas[r])
-            # per row work is |js| x N_pi, in chunks that fit the scratch buffer
-            for c in range(0, len(js), chunk):
-                b = buf[: min(chunk, len(js) - c)]
-                np.take(df, js[c : c + chunk], axis=0, out=b, mode="clip")
-                np.maximum(dx[r], b, out=b)
-                b.min(axis=1, out=vals[c : c + len(b)])
-            k = int(np.argmax(vals[: len(js)]))
-            best_val[i] = vals[k]
-            best_j[i] = cols[js[k]]
-    return best_val, best_j
+        pr, pc, k = pairs(lo, p)
+        miss = np.unique(k[np.isnan(v_anchor[k])])
+        if miss.size:
+            v_anchor[miss] = _pair_minmax(dxa, df, miss // nb, miss % nb * _ANCHOR_STEP, buf)
+        u[p] = row_max(pr, upper(p, pr, pc, k))[1]
+
+    # best first: batches of rows in decreasing U (ties to the lowest row),
+    # each evaluated tile by tile; tau rises after every tile
+    order = np.argsort(-u, kind="stable")
+    top_v, top_i, top_j = np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int)
+    tau, start, size = -np.inf, 0, _TOP_K
+    while start < len(order) and u[order[start]] >= tau:
+        batch = order[start : start + size]
+        start, size = start + size, 16 * size
+        tile = rows[batch] // step
+        for t in np.unique(tile):
+            p = batch[(tile == t) & (u[batch] >= tau)]
+            if p.size == 0:
+                continue
+            pr, pc, k = pairs(t * step, p)
+            live = upper(p, pr, pc, k) >= tau
+            pr, pc = pr[live], pc[live]
+            if pr.size == 0:
+                continue
+            new = np.unique(pc[~built[pc]])
+            for c in range(0, len(new), len(buf)):
+                js = new[c : c + len(buf)]
+                df[js] = _distance_rows(dual.norm_rows, fs[cols[js]], pi.functionals, buf[: len(js)])
+            built[new] = True
+            dx = np.empty((len(p), npi))
+            lead = p % _ANCHOR_STEP == 0  # anchor rows
+            dx[lead] = dxa[p[lead] // _ANCHOR_STEP]
+            dx[~lead] = _distance_rows(space.norm_rows, xs[rows[p[~lead]]], pi.points,
+                                       np.empty((len(p) - lead.sum(), npi)))
+            first, best, arg = row_max(pr, _pair_minmax(dx, df, pr, pc, buf))
+            top_v = np.concatenate([top_v, best])
+            top_i = np.concatenate([top_i, rows[p[pr[first]]]])
+            top_j = np.concatenate([top_j, cols[pc[arg]]])
+            keep = np.lexsort((top_i, -top_v))[:_TOP_K]
+            top_v, top_i, top_j = top_v[keep], top_i[keep], top_j[keep]
+            if len(keep) == _TOP_K:
+                tau = top_v[-1]
+    return top_i, top_v, top_j
 
 
 def _sup_over_pairs(space, xm: Mesh, fm: Mesh, floor, pi, *, refine_rounds=3):
@@ -552,9 +667,12 @@ def _sup_over_pairs(space, xm: Mesh, fm: Mesh, floor, pi, *, refine_rounds=3):
 
     ``xm`` meshes points of the space and ``fm`` functionals of ``pi.dual``.
     Feasibility is ``dot(f, x) >= floor`` (up to 1e-12 to keep exact-equality
-    constructions feasible in floating point).  In 2-d the best mesh pairs,
-    up to ``_TOP_K`` seeds, are zoomed in lock-step over both chart angles,
-    with a first half-width of the sweep step 2 pi / len(pi.sweep.points):
+    constructions feasible in floating point).  The seeds, up to ``_TOP_K``
+    mesh rows each with its best feasible functional, come from the
+    best-first ``_scan_pairs``, ranked bitwise as a scan of every feasible
+    pair would rank them.  In 2-d the seeds are zoomed in lock-step over
+    both chart angles, with a first half-width of the sweep step
+    2 pi / len(pi.sweep.points):
     each round is one level-1 distance search over every feasible grid point
     of every seed.  One level-2 search then refines the seeds and the zoomed
     pairs together.  The mesh error is max(xm.gap, fm.gap) / 2 + pi.gap / 2.
@@ -563,13 +681,7 @@ def _sup_over_pairs(space, xm: Mesh, fm: Mesh, floor, pi, *, refine_rounds=3):
     """
     dual = pi.dual
     xs, fs = xm.points, fm.points
-    best_val, best_j = _scan_pairs(space, dual, xs, fs, floor, pi)
-
-    order = np.argsort(-best_val, kind="stable")[:_TOP_K]
-    si = order[np.isfinite(best_val[order])]
-    if not si.size:
-        raise EmptyConstraintError("constraint set has no usable sampled pair")
-    sj = best_j[si]
+    si, _, sj = _scan_pairs(space, dual, xs, fs, floor, pi)
     x, f = xs[si], fs[sj]
     if xm.angles is not None and refine_rounds > 0:  # 2-d: zoom over both sweep angles
         step = 2.0 * math.pi / len(pi.sweep.points)

@@ -209,14 +209,30 @@ class Lp(NormedSpace):
     def norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
         a = np.abs(rows)
+        if self.p == 2.0 and self.dim > 1 and len(a):
+            # a sum of squares that overflows or falls below 1e-290 loses
+            # digits; only such rows are scaled, so the others keep their
+            # bits.  argmax stops at a nan, which then is scaled too
+            if a.item(a.argmax()) <= 1e150:
+                s = (a * a).sum(axis=1)
+                out = np.sqrt(s)
+                if s.item(s.argmin()) < 1e-290:
+                    tiny = np.flatnonzero(s < 1e-290)
+                    out[tiny] = self._scaled_norm_rows(a[tiny])
+                return out
+            fits = a.max(axis=1) <= 1e150
+            out = self._scaled_norm_rows(a)
+            out[fits] = self.norm_rows(rows[fits])
+            return out
         # one coordinate: |a| for every p, exact even where a * a underflows
         if self.p == math.inf or self.dim == 1:
             return a.max(axis=1)
         if self.p == 1.0:
             return a.sum(axis=1)
-        if self.p == 2.0:
-            return np.sqrt((a * a).sum(axis=1))
-        # scale out the max to keep |.|**p in range for large p
+        return self._scaled_norm_rows(a)
+
+    def _scaled_norm_rows(self, a):
+        # scale out the max to keep |.|**p in range
         m = a.max(axis=1)
         safe = np.where(m > 0.0, m, 1.0)
         s = ((a / safe[:, None]) ** self.p).sum(axis=1)
@@ -230,6 +246,9 @@ class Lp(NormedSpace):
         if self.p == 1.0:
             # sign vector; zero coordinates tie-broken to 0
             return np.sign(rows)
+        if self.p == 2.0:
+            # bitwise sign(x) * (|x| / |x|_2) ** 1; adding 0.0 turns -0.0 into 0.0
+            return rows / self.norm_rows(rows)[:, None] + 0.0
         a = np.abs(rows)
         if self.p == math.inf:
             # barycenter of the dual face spanned by the maximal coordinates
@@ -513,7 +532,8 @@ def sphere_chart(space: NormedSpace, angles, radius=1.0) -> np.ndarray:
     on its own angle and radius only, whatever the batch.
     """
     angles = np.asarray(angles, dtype=float)
-    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    dirs = np.empty((len(angles), 2))
+    dirs[:, 0], dirs[:, 1] = np.cos(angles), np.sin(angles)
     radius = radius if np.isscalar(radius) else radius[:, None]
     return radius * dirs / space.norm_rows(dirs)[:, None]
 

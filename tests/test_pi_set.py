@@ -396,6 +396,24 @@ def _ball_rows(space, rng, n):
     return rows * np.where(rng.random(n) < 1.0 / 3.0, 1.0, rng.random(n))[:, None]
 
 
+def _check_seeds(space, pi, xs, fs, floor, tile_rows):
+    """The best-first scan's seeds are the dense oracle's stable top rows, bitwise."""
+    want = _dense_scan(space, pi.dual, xs, fs, floor, pi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pi_set, "_TILE_ELEMS", tile_rows * len(pi.points))
+        if want is None:
+            with pytest.raises(EmptyConstraintError):
+                pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
+            return
+        rows, vals, cols = pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
+    best_val, best_j = want
+    order = np.argsort(-best_val, kind="stable")[: pi_set._TOP_K]
+    order = order[np.isfinite(best_val[order])]
+    np.testing.assert_array_equal(rows, order)
+    np.testing.assert_array_equal(vals, best_val[order])
+    np.testing.assert_array_equal(cols, best_j[order])
+
+
 @pytest.mark.parametrize("tile_rows", [1, 7, 64])
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 40),
        nf=st.integers(1, 40), floor=st.floats(-1.2, 1.2))
@@ -407,16 +425,53 @@ def test_scan_pairs_matches_dense_oracle(sweep_spaces, tile_rows, data, seed, nx
     pi = pi_set._cached_pi_sample(space, EstimatorConfig(resolution=8 if space.dim == 3 else 24))
     rng = np.random.default_rng(seed)
     xs, fs = _ball_rows(space, rng, nx), _ball_rows(pi.dual, rng, nf)
-    want = _dense_scan(space, pi.dual, xs, fs, floor, pi)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pi_set, "_TILE_ELEMS", tile_rows * len(pi.points))
-        if want is None:
-            with pytest.raises(EmptyConstraintError):
-                pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
-            return
-        best_val, best_j = pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
-    assert np.array_equal(best_val, want[0])
-    assert np.array_equal(best_j, want[1])
+    _check_seeds(space, pi, xs, fs, floor, tile_rows)
+
+
+@pytest.mark.parametrize("tile_rows", [1, 7, 64])
+@pytest.mark.parametrize("case", ["l2 sweep", "ball with origin", "few feasible rows"])
+@pytest.mark.parametrize("floor", [-0.5, 0.3, 0.9])
+def test_scan_pairs_matches_dense_oracle_on_meshes(sweep_spaces, tile_rows, case, floor):
+    # the sweep meshes of l2:2 make near-ties everywhere; a ball mesh has the
+    # origin row, feasible for floors up to 0; a floor between the second and
+    # third best rows' best actions leaves fewer feasible rows than seeds
+    cfg = EstimatorConfig(resolution=64)
+    space = sweep_spaces["l2:2" if case == "l2 sweep" else "hexagon"]
+    pi = pi_set._cached_pi_sample(space, cfg)
+    xm, fm = pi_set._sphere_mesh(space, cfg), pi_set._sphere_mesh(pi.dual, cfg)
+    if case == "ball with origin":
+        xm, fm = pi_set._ball_mesh(cfg, xm), pi_set._ball_mesh(cfg, fm)
+    xs, fs = xm.points, fm.points
+    if case == "few feasible rows":
+        rng = np.random.default_rng(int(10 * floor) + 5)
+        xs = xm.points[rng.permutation(len(xm.points))[:40]] * np.linspace(0.2, 0.95, 40)[:, None]
+        best = np.sort((xs @ fs.T).max(axis=1))
+        floor = float(best[-3] + best[-2]) / 2.0
+        assert 0 < (best >= floor).sum() < pi_set._TOP_K
+    _check_seeds(space, pi, xs, fs, floor, tile_rows)
+
+
+def test_scan_pairs_builds_few_point_distance_rows(sweep_spaces):
+    # a silent fall back to the dense scan would build one per marked row
+    cfg = EstimatorConfig(resolution=400)
+    for kind in ("linf:2", "hexagon"):
+        space = sweep_spaces[kind]
+        pi = pi_set._cached_pi_sample(space, cfg)
+        xs = pi_set._sphere_mesh(space, cfg).points
+        fs = pi_set._sphere_mesh(pi.dual, cfg).points
+        marked = int((xs @ fs.T >= 0.9 - 1e-12).any(axis=1).sum())
+        built = []
+        distance_rows = pi_set._distance_rows
+
+        def counting(kernel, rows, targets, out):
+            if targets is pi.points:
+                built.append(len(rows))
+            return distance_rows(kernel, rows, targets, out)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pi_set, "_distance_rows", counting)
+            hausdorff_modulus_set(space, 0.1, "sphere", cfg)
+        assert sum(built) < 0.6 * marked, (kind, sum(built), marked)
 
 
 def _peak_mib(fn) -> float:

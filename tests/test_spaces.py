@@ -116,9 +116,18 @@ def test_support_l1_sign_vector(l1):
 def test_support_rejects_zero(l2):
     with pytest.raises(SpaceError):
         support_functional(l2, [0.0, 0.0])
-    # nonzero, but its euclidean norm underflows to 0
-    with pytest.raises(SpaceError):
-        support_functional(l2, [1e-200, 0.0])
+
+
+def test_euclidean_norm_scales_tiny_and_huge_rows(l2):
+    # squares of 1e-200 underflow and those of 1e200 overflow
+    assert l2.norm([1e-200, 0.0]) == 1e-200
+    assert l2.norm([1e200, 1e200]) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    np.testing.assert_array_equal(support_functional(l2, [1e-200, 0.0]), [1.0, 0.0])
+    # every other row keeps the bits of the plain sum of squares
+    rows = np.array([[3.0, 4.0], [1e-200, 0.0], [0.3, -0.7], [1e200, 1e200], [0.0, 0.0]])
+    got = l2.norm_rows(rows)
+    plain = [0, 2, 4]
+    np.testing.assert_array_equal(got[plain], np.sqrt((rows[plain] ** 2).sum(axis=1)))
 
 
 def test_support_barycentric_at_linf_vertex(linf):
