@@ -56,6 +56,9 @@ def _parse_range(text: str) -> list[float]:
     start, stop, step = (float(p) for p in parts)
     if step <= 0:
         raise argparse.ArgumentTypeError("range step must be positive")
+    if start > stop + 1e-12:
+        raise argparse.ArgumentTypeError(
+            f"range start must not exceed its stop, got {text!r}")
     values = []
     v = start
     while v <= stop + 1e-12:

@@ -26,7 +26,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "SpaceError",
@@ -313,6 +312,8 @@ class Polytope(NormedSpace):
             if m == 0.0:
                 raise SpaceError("vertex list must span the space")
             return np.array([[1.0], [-1.0]]), np.array([m, m])
+        # imported here: loading scipy.spatial costs a fresh process ~0.5 s
+        from scipy.spatial import ConvexHull, QhullError
         try:
             hull = ConvexHull(self.vertices)
         except QhullError as exc:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .closed_forms import (HilbertPair, ModulusQuery, hilbert_distance,
                            nonsquare_phi_bound)
@@ -110,6 +109,8 @@ def polytope_gauge_lp_oracle(vertices, v) -> float:
     v = np.asarray(v, dtype=float)
     if not np.any(v):
         return 0.0
+    # imported here: loading scipy.optimize costs a fresh process ~0.6 s
+    from scipy.optimize import linprog
     res = linprog(np.ones(len(vertices)), A_eq=vertices.T, b_eq=v,
                   bounds=(0.0, None), method="highs")
     if res.status != 0:
@@ -280,6 +281,8 @@ SUITES = {
 
 def run_suite(name: str, resolution: int | None = None) -> list[CheckResult]:
     """Run one named suite (or 'all'); resolution overrides the default."""
+    if resolution is not None:
+        EstimatorConfig(resolution=resolution)  # the estimators' floor, for every suite
     if name == "all":
         out = []
         for key in SUITES:

@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import bpbmod
 from bpbmod.cli import main
 
 
@@ -257,12 +261,17 @@ def test_refinement_examples_match_golden(name, monkeypatch, capsys):
     "distance --space l2:2 --x nan,0 --f 1,0",
     "alpha --space l2:5",
     "corrector --space l2:2 --x 1,0 --f 0,1 --delta 0.1 --alpha-tilde 0.58",
+    "verify --suite hilbert --resolution 0",
+    "verify --suite hilbert --resolution 3",
+    "psi --mu 1 --theta 1 --delta 0.5:0.1:0.1",
 ])
 def test_malformed_input_exits_2(argv, capsys):
     assert exit_code(argv.split()) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err
+    if "--resolution" in argv:
+        assert "resolution" in err
 
 
 def test_threads_flag_does_not_change_output(monkeypatch, capsys):
@@ -295,3 +304,36 @@ def test_alpha_dim4_runs_at_the_capped_resolution(capsys):
     assert code == 0
     (row,) = csv.DictReader(io.StringIO(out))
     assert abs(float(row["alpha"]) - (2.0 - math.sqrt(2.0))) <= float(row["mesh_error"])
+
+
+_IMPORT_HYGIENE = """
+import sys
+
+import bpbmod
+import bpbmod.cli
+from bpbmod import Polytope, SpaceError
+from bpbmod.verify import hexagon
+
+assert bpbmod.cli.main(["psi", "--mu", "1", "--theta", "1", "--delta", "0.1:0.5:0.1"]) == 0
+assert bpbmod.cli.main(["distance", "--space", "l2:2", "--x", "1,0", "--f", "0,1"]) == 0
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+try:
+    Polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0], [-0.5, 0.0]])
+except SpaceError as exc:
+    assert str(exc) == "vertex hull has empty interior", exc
+else:
+    raise AssertionError("a flat vertex list built a polytope")
+hexagon()
+assert "scipy.spatial" in sys.modules
+assert "scipy.optimize" not in sys.modules
+"""
+
+
+def test_cli_loads_scipy_only_for_polytopes():
+    # a fresh process: this one has long since loaded scipy
+    src = str(Path(bpbmod.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_HYGIENE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
