@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_forms import ALPHA_CEILING, ModulusQuery, RegimeError
+from .closed_forms import ALPHA_CEILING, ModulusQuery, RegimeError, phi_upper_bound
 from .pi_set import (EmptyConstraintError, Mesh, ModulusEstimate, PairState, PiWitness,
                      _cached_pi_sample, _distance_core, _sphere_mesh, _sup_over_pairs,
-                     _tile_rows, _zoom, is_in_pi)
+                     _tile_rows, _zoom, is_in_pi, pair_state)
 # the modulus at level delta in ball or sphere mode, under its short name
 from .pi_set import hausdorff_modulus_set as estimate_phi
 from .spaces import EstimatorConfig, NormedSpace, SpaceError, sphere_chart
@@ -86,32 +86,31 @@ def estimate_phi_mut(space: NormedSpace, q: ModulusQuery,
                      refine_rounds: int = 3) -> ModulusEstimate:
     """Supremum of distance-to-Pi over pairs with |x| = mu, |f| = theta.
 
-    Pairs are sphere meshes scaled by mu and theta, gaps scaled alike,
-    constrained by ``action >= 1 - delta``; 2-d estimates are tightened by
-    zoom refinement over both sweep angles.
-    When mu * theta < 1 - delta the constraint saturates to the maximally
-    aligned pairs (action = mu * theta), whose supremum is 1 - min(mu, theta):
-    those are the scaled attainment pairs (mu * y, theta * g), so the sweep
-    runs over the scaled Pi sample, with gap r * pi.gap, without refinement.
+    A pair (mu y, theta g) with (y, g) in Pi has action mu theta and lies at
+    distance exactly low = 1 - min(mu, theta) from Pi, the least possible
+    (|mu y - y'| >= 1 - mu).  So if mu theta <= 1 - delta or mu theta = 0 the
+    value is low with mesh error 0.  Otherwise sphere meshes and gaps scaled
+    by mu and theta are swept under ``action >= 1 - delta`` (zoomed in 2-d),
+    and the value is at least low: low +- (phi_upper_bound(q) - low) if no
+    mesh pair is feasible.
     """
     pi = _cached_pi_sample(space, config)
+    low = 1.0 - min(q.mu, q.theta)
+    y, g = pi.points[0].copy(), pi.functionals[0].copy()
+    diagonal = ModulusEstimate(low, 0.0, pair_state(space, q.mu * y, q.theta * g),
+                               PiWitness(y, g, low))
+    if not q.regime_psi or q.mu * q.theta == 0.0:
+        return diagonal
 
     def scaled(mesh, r):
-        # radius 0 collapses the mesh to the origin
-        if r > 0.0:
-            return Mesh(r * mesh.points, mesh.angles, np.full(len(mesh.points), r), r * mesh.gap)
-        return Mesh(np.zeros((1, space.dim)), None if mesh.angles is None else np.zeros(1),
-                    np.zeros(1), 0.0)
+        return Mesh(r * mesh.points, mesh.angles, np.full(len(mesh.points), r), r * mesh.gap)
 
-    if q.mu * q.theta < 1.0 - q.delta:
-        xm = scaled(Mesh(pi.points, None, None, pi.gap), q.mu)
-        fm = scaled(Mesh(pi.functionals, None, None, pi.gap), q.theta)
-        floor = q.mu * q.theta
-    else:
-        xm = scaled(_sphere_mesh(space, config), q.mu)
-        fm = scaled(_sphere_mesh(pi.dual, config), q.theta)
-        floor = 1.0 - q.delta
-    return _sup_over_pairs(space, xm, fm, floor, pi, refine_rounds=refine_rounds)
+    xm, fm = scaled(_sphere_mesh(space, config), q.mu), scaled(_sphere_mesh(pi.dual, config), q.theta)
+    try:
+        est = _sup_over_pairs(space, xm, fm, 1.0 - q.delta, pi, refine_rounds=refine_rounds)
+    except EmptyConstraintError:
+        return replace(diagonal, mesh_error=phi_upper_bound(q) - low)
+    return est if est.value >= low else replace(diagonal, mesh_error=est.mesh_error)
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,11 @@ class CheckResult:
 def circle_minimax_oracle(x, y, resolution: int = 4000) -> float:
     """Brute-force min over the euclidean unit circle of max(|x-z|, |y-z|).
 
-    Grid scan plus golden-section refinement on the bracketing arc; uses
-    nothing but elementary vector arithmetic.
+    Grid scan plus golden-section refinement on the arc around each local
+    minimum of the cyclic grid profile within one grid step h of the grid
+    minimum: the objective is 1-Lipschitz in the angle, and it can have two
+    basins, so a coarse grid may rank the wrong one first.  Uses nothing but
+    elementary vector arithmetic.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -71,27 +74,30 @@ def circle_minimax_oracle(x, y, resolution: int = 4000) -> float:
     fx = np.linalg.norm(zs - x[None, :], axis=1)
     fy = np.linalg.norm(zs - y[None, :], axis=1)
     vals = np.maximum(fx, fy)
-    k = int(np.argmin(vals))
     h = 2.0 * math.pi / resolution
+    best = float(vals.min())
+    local = (vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)) & (vals <= best + h)
 
     def f(t):
         z = np.array([math.cos(t), math.sin(t)])
         return max(float(np.linalg.norm(x - z)), float(np.linalg.norm(y - z)))
 
-    a, b = ts[k] - h, ts[k] + h
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(80):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return min(float(vals[k]), fc, fd)
+    for k in np.flatnonzero(local):
+        a, b = ts[k] - h, ts[k] + h
+        c = b - _GOLDEN * (b - a)
+        d = a + _GOLDEN * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(80):
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = f(d)
+        best = min(best, fc, fd)
+    return best
 
 
 def real_line_oracle(x: float, f: float) -> float:

@@ -116,6 +116,16 @@ def test_modulus_mut_sum1(capsys):
     assert float(row[4]) == pytest.approx(0.7480740698407862, abs=1e-12)
 
 
+def test_modulus_mut_at_saturation_prints_the_diagonal(capsys):
+    # mu * theta == 1 - delta in floating point: no mesh pair is feasible,
+    # and the diagonal pairs (mu y, theta g) give the exact value
+    code, out = run(capsys, "modulus", "--space", "linf:3", "--mode", "mut", "--mu", "1",
+                    "--theta", "0.7", "--delta", "0.3", "--resolution", "12")
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert (row[1], row[2], row[5]) == ("0.30000000000000004", "0.0", "")
+
+
 def test_alpha_command(capsys):
     code, out = run(capsys, "alpha", "--space", "l2:2", "--self-dual",
                     "--resolution", "160")

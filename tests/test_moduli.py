@@ -1,9 +1,10 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bpbmod import (CorrectorSearchError, EmptyConstraintError, EstimatorConfig, Lp,
@@ -22,6 +23,7 @@ SQRT2 = math.sqrt(2.0)
 # polygons with vertices off the sweep angles
 OCTAGON = np.array([[1, 0.1], [0.7, 0.8], [-0.2, 1.1], [-0.9, 0.5], [-1, -0.1],
                     [-0.7, -0.8], [0.2, -1.1], [0.9, -0.5]])
+HEXAGON = np.array([[math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)] for k in range(6)])
 HEXAGON_ROTATED = np.array([[math.cos(k * math.pi / 3 + 0.1), math.sin(k * math.pi / 3 + 0.1)]
                             for k in range(6)])
 
@@ -110,10 +112,86 @@ def test_phi_mut_3d_gap_is_the_scaled_mesh_gap():
 
 
 def test_phi_mut_empty_constraint_set():
-    # no mesh pair aligns exactly on the rotated hexagon
-    with pytest.raises(EmptyConstraintError):
-        estimate_phi_mut(Polytope(HEXAGON_ROTATED), q(1, 1, 1e-12),
-                         EstimatorConfig(resolution=64))
+    # no mesh pair aligns exactly on the rotated hexagon; the diagonal value
+    # stands, bracketed by the universal upper bound
+    query = q(1, 1, 1e-12)
+    est = estimate_phi_mut(Polytope(HEXAGON_ROTATED), query, EstimatorConfig(resolution=64))
+    assert est.value == 0.0
+    assert est.mesh_error == phi_upper_bound(query) == pytest.approx(1.41e-6, rel=1e-2)
+
+
+@functools.lru_cache(maxsize=None)
+def mut_space(name):
+    # one instance per name, so that a polytope's meshes stay cached
+    polygons = {"hexagon": HEXAGON, "hexagon_rotated": HEXAGON_ROTATED, "octagon": OCTAGON}
+    return Polytope(polygons[name]) if name in polygons else parse_space(name)
+
+
+# (space, (mu, theta, delta), resolution, mesh_error); None marks the bracket
+# phi_upper_bound - (1 - min(mu, theta)) of a sweep with no feasible pair.
+# test_phi_mut_empty_constraint_set holds the row (1, 1, 1e-12), res 64
+@pytest.mark.parametrize("name, query, res, error", [
+    ("hexagon_rotated", (0.5, 1, 0.5 + 1e-9), 400, None),
+    ("hexagon_rotated", (0.5, 1, 0.5 + 1e-6), 400, None),
+    ("hexagon_rotated", (0.5, 1, 0.5 + 1e-4), 400, 0.0190),
+    ("linf:3", (1, 0.7, 0.3), 12, 0.0),
+    ("sum1(l2:2,r:1)", (1, 0.7, 0.3), 16, 0.0),
+    ("octagon", (0.5, 1, 0.3), 400, 0.0),
+    ("linf:2", (0.5, 0.8, 0.6), 160, 0.0),
+    ("l2:2", (0, 0.8, 1.2), 160, 0.0),
+])
+def test_phi_mut_diagonal_cases(name, query, res, error):
+    # saturated, boundary, zero-norm and near-saturated queries all take the
+    # diagonal value 1 - min(mu, theta), attained at (mu y, theta g)
+    query = q(*query)
+    est = estimate_phi_mut(mut_space(name), query, EstimatorConfig(resolution=res))
+    low = 1.0 - min(query.mu, query.theta)
+    assert est.value == est.witness.distance == low
+    if error is None:
+        assert 0.0 < est.mesh_error == phi_upper_bound(query) - low
+    else:
+        assert est.mesh_error == pytest.approx(error, abs=5e-4)
+    p = est.pair
+    assert (p.norm_x, p.norm_f, p.action) == pytest.approx((query.mu, query.theta, query.mu * query.theta),
+                                                         abs=1e-12)
+    assert is_in_pi(mut_space(name), pair_state(mut_space(name), est.witness.y, est.witness.g))
+
+
+MUT_SPACES = ["l1:2", "linf:2", "l2:2", "hexagon", "hexagon_rotated", "octagon"]
+
+
+@st.composite
+def mut_queries(draw):
+    mu, theta = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+    # free deltas, and deltas at and just off saturation mu * theta = 1 - delta
+    slack = draw(st.one_of(st.none(), st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-4, -1e-9])))
+    delta = draw(st.floats(0, 2, exclude_min=True, exclude_max=True)) if slack is None \
+        else 1.0 - mu * theta + slack
+    assume(0.0 < delta < 2.0)
+    return ModulusQuery(mu, theta, delta)
+
+
+@given(name=st.sampled_from(MUT_SPACES), query=mut_queries(), res=st.sampled_from([32, 48, 64]))
+@settings(max_examples=80, deadline=None)
+def test_phi_mut_invariants(name, query, res):
+    est = estimate_phi_mut(mut_space(name), query, EstimatorConfig(resolution=res), refine_rounds=0)
+    low = 1.0 - min(query.mu, query.theta)
+    assert est.value >= low
+    if not query.regime_psi or query.mu * query.theta == 0.0:
+        assert (est.value, est.mesh_error) == (low, 0.0)
+    else:
+        assert est.value <= phi_upper_bound(query) + est.mesh_error + 1e-9
+
+
+@pytest.mark.parametrize("name", MUT_SPACES)
+@pytest.mark.parametrize("delta", [0.1, 0.5, 1.5])
+def test_phi_mut_unit_norms_is_the_sphere_modulus(name, delta):
+    space, cfg = mut_space(name), EstimatorConfig(resolution=64)
+    a, b = estimate_phi(space, delta, "sphere", cfg), estimate_phi_mut(space, q(1, 1, delta), cfg)
+    assert (a.value, a.mesh_error, a.witness.distance) == (b.value, b.mesh_error, b.witness.distance)
+    for u, v in [(a.pair.x, b.pair.x), (a.pair.f, b.pair.f), (a.witness.y, b.witness.y),
+                 (a.witness.g, b.witness.g)]:
+        assert u.tobytes() == v.tobytes()
 
 
 # ---------------------------------------------------------------------------
