@@ -89,7 +89,8 @@ def estimate_phi_mut(space: NormedSpace, q: ModulusQuery,
     A pair (mu y, theta g) with (y, g) in Pi has action mu theta and lies at
     distance exactly low = 1 - min(mu, theta) from Pi, the least possible
     (|mu y - y'| >= 1 - mu).  So if mu theta <= 1 - delta or mu theta = 0 the
-    value is low with mesh error 0.  Otherwise sphere meshes and gaps scaled
+    value is low with mesh error 0; below mu theta = 1 - delta no pair with
+    these norms is feasible, and low is a convention.  Otherwise sphere meshes and gaps scaled
     by mu and theta are swept under ``action >= 1 - delta`` (zoomed in 2-d),
     and the value is at least low: low +- (phi_upper_bound(q) - low) if no
     mesh pair is feasible.

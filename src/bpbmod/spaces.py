@@ -56,6 +56,11 @@ _SYMMETRY_TOL = 1e-12
 # Tie detection for subdifferential faces (argmax sets, equal component norms).
 _TIE_TOL = 1e-12
 _SAMPLE_DIM_LIMIT = 4
+# Row reductions of batches with at least this many rows, over fewer than
+# _LOOP_COLS columns, loop over the columns (see _reduce_rows).  Shorter
+# batches reduce as fast in one call; a polytope gauge breaks even near 200
+_LOOP_ROWS = 256
+_LOOP_COLS = 8
 
 
 class SpaceError(ValueError):
@@ -111,7 +116,10 @@ class NormedSpace:
 
     A space kind is defined by its row kernels ``norm_rows``,
     ``dual_norm_rows`` and ``support_rows``; the scalar operations below
-    validate one vector and evaluate the kernel on it as a single row.
+    validate one vector and evaluate the kernel on it as a single row.  A
+    long batch reduces its few coordinates, facets and vertices one column
+    at a time, bitwise as one reduction would, so each row still depends on
+    itself only.
     """
 
     dim: int
@@ -213,28 +221,28 @@ class Lp(NormedSpace):
             # digits; only such rows are scaled, so the others keep their
             # bits.  argmax stops at a nan, which then is scaled too
             if a.item(a.argmax()) <= 1e150:
-                s = (a * a).sum(axis=1)
+                s = _reduce_rows(np.add, a * a)
                 out = np.sqrt(s)
                 if s.item(s.argmin()) < 1e-290:
                     tiny = np.flatnonzero(s < 1e-290)
                     out[tiny] = self._scaled_norm_rows(a[tiny])
                 return out
-            fits = a.max(axis=1) <= 1e150
+            fits = _reduce_rows(np.maximum, a) <= 1e150
             out = self._scaled_norm_rows(a)
             out[fits] = self.norm_rows(rows[fits])
             return out
         # one coordinate: |a| for every p, exact even where a * a underflows
         if self.p == math.inf or self.dim == 1:
-            return a.max(axis=1)
+            return _reduce_rows(np.maximum, a)
         if self.p == 1.0:
-            return a.sum(axis=1)
+            return _reduce_rows(np.add, a)
         return self._scaled_norm_rows(a)
 
     def _scaled_norm_rows(self, a):
         # scale out the max to keep |.|**p in range
-        m = a.max(axis=1)
+        m = _reduce_rows(np.maximum, a)
         safe = np.where(m > 0.0, m, 1.0)
-        s = ((a / safe[:, None]) ** self.p).sum(axis=1)
+        s = _reduce_rows(np.add, (a / safe[:, None]) ** self.p)
         return m * s ** (1.0 / self.p)
 
     def dual_norm_rows(self, rows):
@@ -251,8 +259,8 @@ class Lp(NormedSpace):
         a = np.abs(rows)
         if self.p == math.inf:
             # barycenter of the dual face spanned by the maximal coordinates
-            top = a >= a.max(axis=1, keepdims=True) * (1.0 - _TIE_TOL)
-            return np.where(top, np.sign(rows), 0.0) / top.sum(axis=1, keepdims=True)
+            top = a >= _reduce_rows(np.maximum, a)[:, None] * (1.0 - _TIE_TOL)
+            return np.where(top, np.sign(rows), 0.0) / _reduce_rows(np.add, top)[:, None]
         return np.sign(rows) * (a / self.norm_rows(rows)[:, None]) ** (self.p - 1.0)
 
     def dual(self):
@@ -329,12 +337,12 @@ class Polytope(NormedSpace):
         rows = np.asarray(rows, dtype=float)
         # the gauge is the largest facet ratio of the H-form
         normals, offsets = self._facets
-        return np.maximum((_row_products(rows, normals) / offsets).max(axis=1), 0.0)
+        return np.maximum(_max_row_products(rows, normals, offsets), 0.0)
 
     def dual_norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
         # sup over the ball equals the max over the vertex list
-        return _row_products(rows, self.vertices).max(axis=1)
+        return _max_row_products(rows, self.vertices)
 
     def support_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
@@ -344,7 +352,7 @@ class Polytope(NormedSpace):
         active = _row_products(pts, normals) / offsets >= 1.0 - _TIE_TOL
         # mean of the active facet functionals
         total = _row_products(active, (normals / offsets[:, None]).T)
-        return total / active.sum(axis=1)[:, None]
+        return total / _reduce_rows(np.add, active)[:, None]
 
     def dual(self):
         return self._dual
@@ -384,6 +392,54 @@ def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     for j in range(1, rows.shape[1]):
         np.multiply(rows[:, j : j + 1], mat[:, j], out=term)
         out += term
+    return out
+
+
+def _loops(n: int, k: int) -> bool:
+    """Whether n rows of k values reduce column by column."""
+    return n >= _LOOP_ROWS and 0 < k < _LOOP_COLS
+
+
+def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` for ``np.add`` or ``np.maximum``, bitwise.
+
+    Long batches of narrow rows fold one column at a time, several times
+    faster than one reduction over a short axis.  numpy reduces fewer than
+    8 values per row in column order, so the bits are the same; from 8 it
+    adds pairwise and takes maxima in vector lanes, which break ties of
+    +-0 another way, so wider rows keep the one-call reduction.
+    """
+    if not _loops(*a.shape):
+        return ufunc.reduce(a, axis=1)
+    # numpy's own reduction of the first column: its dtype, and a sum of -0.0 is 0.0
+    out = ufunc.reduce(a[:, :1], axis=1)
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
+def _max_row_products(rows: np.ndarray, mat: np.ndarray, scale=None) -> np.ndarray:
+    """``(_row_products(rows, mat) / scale).max(axis=1)``, bitwise.
+
+    Long batches against fewer than 8 rows of ``mat`` take a running maximum
+    of one column of the product at a time, each the same sequential sum,
+    and never form the ``(n, len(mat))`` matrix.
+    """
+    if not _loops(len(rows), len(mat)):
+        prod = _row_products(rows, mat)
+        return (prod if scale is None else prod / scale).max(axis=1)
+    out = np.empty(len(rows))
+    col, term = np.empty_like(out), np.empty_like(out)
+    for k, m in enumerate(mat):
+        dest = out if k == 0 else col
+        np.multiply(rows[:, 0], m[0], out=dest)
+        for j in range(1, len(m)):
+            np.multiply(rows[:, j], m[j], out=term)
+            dest += term
+        if scale is not None:
+            dest /= scale[k]
+        if k:
+            np.maximum(out, col, out=out)
     return out
 
 

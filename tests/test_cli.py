@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import bpbmod
+from bpbmod import pi_set
 from bpbmod.cli import main
 
 
@@ -307,6 +308,19 @@ def test_modulus_beyond_the_memory_ceiling_exits_3(capsys):
     assert len(lines) == 1
     assert lines[0].startswith("regime error:")
     assert "GiB" in lines[0] and "--resolution" in lines[0]
+
+
+def test_modulus_past_a_lowered_memory_ceiling_exits_3(monkeypatch, capsys):
+    # a 2-d sphere sweep at the default resolution needs about 1.2 MiB of
+    # functional distance rows; a 1 MiB ceiling refuses it
+    monkeypatch.setattr(pi_set, "_DF_BYTES_MAX", 1 << 20)
+    assert exit_code("modulus --space l2:2 --mode sphere --delta 0.5".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("regime error: the pair sweep needs")
+    assert line.endswith("lower --resolution")
 
 
 def test_alpha_dim4_runs_at_the_capped_resolution(capsys):

@@ -13,7 +13,7 @@ from bpbmod import (EstimatorConfig, HilbertPair, distance_to_pi,
                     pair_state, parse_space, sample_pi)
 import bpbmod
 from bpbmod import moduli, pi_set
-from bpbmod.pi_set import EmptyConstraintError, build_pi_sample
+from bpbmod.pi_set import EmptyConstraintError, SweepTooLargeError, build_pi_sample
 
 RNG = np.random.default_rng(20240810)
 
@@ -449,6 +449,27 @@ def test_scan_pairs_matches_dense_oracle_on_meshes(sweep_spaces, tile_rows, case
         floor = float(best[-3] + best[-2]) / 2.0
         assert 0 < (best >= floor).sum() < pi_set._TOP_K
     _check_seeds(space, pi, xs, fs, floor, tile_rows)
+
+
+def test_scan_pairs_refuses_past_the_ceiling_before_any_distance_row(monkeypatch):
+    cfg = EstimatorConfig(resolution=64)
+    space = parse_space("l2:2")
+    pi = pi_set._cached_pi_sample(space, cfg)
+    xs = pi_set._sphere_mesh(space, cfg).points
+    fs = pi_set._sphere_mesh(pi.dual, cfg).points
+    need = len(fs) * len(pi.points) * 8
+    # at the ceiling the sweep runs
+    monkeypatch.setattr(pi_set, "_DF_BYTES_MAX", need)
+    assert len(pi_set._scan_pairs(space, pi.dual, xs, fs, 0.5, pi)[0]) > 0
+
+    def no_rows(*args):
+        raise AssertionError("a distance row was built")
+
+    monkeypatch.setattr(pi_set, "_distance_rows", no_rows)
+    monkeypatch.setattr(pi_set, "_nearest_anchors", no_rows)
+    monkeypatch.setattr(pi_set, "_DF_BYTES_MAX", need - 1)
+    with pytest.raises(SweepTooLargeError, match="lower --resolution"):
+        pi_set._scan_pairs(space, pi.dual, xs, fs, 0.5, pi)
 
 
 def test_scan_pairs_builds_few_point_distance_rows(sweep_spaces):

@@ -10,6 +10,7 @@ from bpbmod import (DimensionMismatchError, EstimatorConfig, Lp, Polytope,
                     SpaceError, SpaceSpecError, Sum1, SumInf, describe_json,
                     dual_norm, dual_space, norm, parse_space, sphere_sample,
                     support_functional)
+from bpbmod import spaces
 from bpbmod.spaces import sphere_chart
 from bpbmod.verify import polytope_gauge_lp_oracle
 
@@ -181,6 +182,8 @@ KERNEL_SPACES = {
     "sum1_rr": lambda: parse_space("sum1(r:1,r:1)"),
     "suminf_rr": lambda: parse_space("suminf(r:1,r:1)"),
     "lp:3:p=1.5": lambda: parse_space("lp:3:p=1.5"), "linf:3": lambda: parse_space("linf:3"),
+    "l2:4": lambda: parse_space("l2:4"), "l1:4": lambda: parse_space("l1:4"),
+    "linf:4": lambda: parse_space("linf:4"), "lp:4:p=3": lambda: parse_space("lp:4:p=3"),
     "sum1(l2:2,r:1)": lambda: parse_space("sum1(l2:2,r:1)"),
     "suminf(l1:2,r:1)": lambda: parse_space("suminf(l1:2,r:1)"),
     "cube": _cube,
@@ -189,15 +192,80 @@ KERNEL_SPACES = {
 }
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _kernel_rows(dim):
+    """Rows past the long-batch threshold: random rows, zero coordinates,
+    ties, +-0.0, and rows scaled by 1e-200 and 1e200."""
+    rng = np.random.default_rng(11)
+    n = spaces._LOOP_ROWS + 40
+    rows = rng.standard_normal((n, dim))
+    rows[::6, 0] = 0.0
+    rows[1::6, -1] = -0.0
+    rows[2::6] = np.where(rng.random((len(rows[2::6]), dim)) < 0.5, -1.0, 1.0)
+    rows[3::12] *= 1e-200
+    rows[4::12] *= 1e200
+    special = np.array([np.zeros(dim), -np.zeros(dim), np.ones(dim),
+                        np.r_[1.0, np.zeros(dim - 1)], np.r_[-0.0, np.full(dim - 1, 0.5)]])
+    return np.vstack([rows, special])
+
+
 @pytest.mark.parametrize("key", sorted(KERNEL_SPACES))
 def test_row_kernels_do_not_depend_on_the_batch(key):
+    # a long batch folds its columns, facets and vertices one at a time; a
+    # one-row call reduces them in one call: the bits, signs of zero too,
+    # must agree
     space = KERNEL_SPACES[key]()
-    rows = np.vstack([np.random.default_rng(11).standard_normal((13, space.dim)),
-                      np.ones((1, space.dim))])
-    for kernel in (space.norm_rows, space.dual_norm_rows, space.support_rows):
-        batch = kernel(rows)
-        for i in range(len(rows)):
-            np.testing.assert_array_equal(batch[i], kernel(rows[i : i + 1])[0])
+    rows = _kernel_rows(space.dim)
+    nonzero = rows[space.norm_rows(rows) > 0.0]
+    assert len(nonzero) >= spaces._LOOP_ROWS
+    for kernel, batch in ((space.norm_rows, rows), (space.dual_norm_rows, rows),
+                          (space.support_rows, nonzero)):
+        out = _bits(kernel(batch))
+        for i in range(len(batch)):
+            np.testing.assert_array_equal(out[i], _bits(kernel(batch[i : i + 1]))[0])
+
+
+_REDUCE_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3e-300, 5e-324, -5e-324, 1e-310,
+                            1e300, np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_reduce_rows_is_numpy_reduce_bitwise(ufunc, width):
+    # numpy reduces narrow rows in column order; a release that changes
+    # that order fails here
+    rng = np.random.default_rng(width)
+    for n in (0, 1, spaces._LOOP_ROWS - 1, spaces._LOOP_ROWS, 1000):
+        for a in (rng.standard_normal((n, width)),
+                  rng.choice(_REDUCE_ENTRIES, size=(n, width)),
+                  rng.choice(_REDUCE_ENTRIES[:2], size=(n, width))):
+            with np.errstate(all="ignore"):
+                want, got = ufunc.reduce(a, axis=1), spaces._reduce_rows(ufunc, a)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+    flags = rng.random((1000, width)) < 0.5
+    count = spaces._reduce_rows(np.add, flags)
+    assert count.dtype == flags.sum(axis=1).dtype
+    np.testing.assert_array_equal(count, flags.sum(axis=1))
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_max_row_products_is_the_matrix_max_bitwise(k):
+    rng = np.random.default_rng(k)
+    mat, scale = rng.standard_normal((k, 3)), rng.random(k) + 0.5
+    for n in (1, spaces._LOOP_ROWS - 1, spaces._LOOP_ROWS, 1000):
+        rows = rng.standard_normal((n, 3))
+        rows[::5] = 0.0
+        rows[1::5, 1] = -0.0
+        rows[2::5] *= 1e-300
+        prod = spaces._row_products(rows, mat)
+        np.testing.assert_array_equal(_bits(spaces._max_row_products(rows, mat)),
+                                      _bits(prod.max(axis=1)))
+        np.testing.assert_array_equal(_bits(spaces._max_row_products(rows, mat, scale)),
+                                      _bits((prod / scale).max(axis=1)))
 
 
 def test_support_rows_on_ties(linf, sum1_rr, suminf_rr):
