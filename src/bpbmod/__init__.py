@@ -15,15 +15,13 @@ from .closed_forms import (ALPHA_CEILING, HilbertPair, LowerBound, ModulusQuery,
 from .moduli import (AlphaReport, ConvexityReport, CorrectorResult,
                      CorrectorSearchError, audit_alpha_interior, bpb_corrector,
                      check_alpha_self_dual, collapse_k, convexity_profile,
-                     estimate_alpha, estimate_convexity_modulus, estimate_phi,
-                     estimate_phi_mut)
+                     estimate_alpha, estimate_phi, estimate_phi_mut)
 from .pi_set import (EmptyConstraintError, ModulusEstimate, PairState, PiWitness,
                      distance_to_pi, hausdorff_modulus_set, is_in_pi, pair_state,
                      sample_pi)
 from .spaces import (DimensionMismatchError, EstimatorConfig, Lp, NormedSpace,
                      Polytope, SpaceError, SpaceSpecError, Sum1, SumInf,
-                     describe, describe_json, dual_norm, dual_space, norm,
-                     parse_space, sphere_sample, support_functional)
+                     describe_json, parse_space, sphere_sample)
 from .witnesses import (canonical_pin, linf2_witness, real_witness, sum1_witness,
                         suminf_witness)
 

@@ -5,10 +5,14 @@ witness | verify.  Numeric ranges accept ``a:b:step`` (inclusive of both ends
 within 1e-12) or a single value.  Identical invocations (including --seed)
 produce byte-identical output.
 
-Environment: BPB_SEED overrides the default seed.  The estimators run in one
-thread: ``--threads`` and BPB_THREADS are accepted for compatibility and
-ignored.  Exit codes: 0 ok, 1 verification/search failure, 2 usage error,
-3 numeric regime error.
+Each command takes only the options it reads.  The sampling estimators
+(distance, modulus, alpha, convexity, corrector) take ``--resolution`` and
+``--seed``; the table commands (psi, bound, modulus, alpha, convexity) take
+``--format csv|json``, and distance, corrector and witness always print JSON.
+Every command takes ``--output``.
+
+Environment: BPB_SEED overrides the default seed.  Exit codes: 0 ok,
+1 verification/search failure, 2 usage error, 3 numeric regime error.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .moduli import (CorrectorSearchError, bpb_corrector, check_alpha_self_dual,
                      collapse_k, convexity_profile, estimate_alpha, estimate_phi,
                      estimate_phi_mut)
 from .pi_set import EmptyConstraintError, SweepTooLargeError, distance_to_pi, pair_state
-from .spaces import EstimatorConfig, Lp, NormedSpace, Sum1, SumInf, describe, parse_space
+from .spaces import EstimatorConfig, Lp, NormedSpace, Sum1, SumInf, parse_space
 from .verify import run_suite
 from .witnesses import linf2_witness, real_witness, sum1_witness, suminf_witness
 
@@ -44,6 +48,8 @@ _COLUMNS = {
               "dual_mesh_error"],
     "convexity": ["eps", "delta_x", "mesh_error", "day_nordlander"],
 }
+# the commands that sample spheres, so read --resolution and --seed
+_SAMPLED = ("distance", "modulus", "alpha", "convexity", "corrector")
 
 
 def _parse_range(text: str) -> list[float]:
@@ -199,7 +205,7 @@ def cmd_distance(args) -> int:
     elif _is_plane_l2(space) and max(pair.norm_x, pair.norm_f) <= 1.0 + 1e-9:
         closed = hilbert_distance(HilbertPair(pair.x, pair.f))
     _emit_json(args, "distance", {
-        "space": describe(space),
+        "space": space.describe(),
         "x": list(map(float, pair.x)),
         "f": list(map(float, pair.f)),
         "witness": witness.to_json_dict(),
@@ -235,7 +241,7 @@ def cmd_modulus(args) -> int:
                        sqrt_2delta=math.sqrt(2.0 * delta), closed_form=None,
                        note=f"error: {exc}")
         rows.append(row)
-    meta = {"space": describe(space), "mode": args.mode,
+    meta = {"space": space.describe(), "mode": args.mode,
             "mu": args.mu, "theta": args.theta}
     _emit(args, "modulus", rows, meta)
     return 0
@@ -257,7 +263,7 @@ def cmd_alpha(args) -> int:
         "alpha_dual": None if rep_dual is None else rep_dual.alpha,
         "dual_mesh_error": None if rep_dual is None else rep_dual.mesh_error,
     }
-    _emit(args, "alpha", [row], {"space": describe(space)})
+    _emit(args, "alpha", [row], {"space": space.describe()})
     return 0
 
 
@@ -271,7 +277,7 @@ def cmd_convexity(args) -> int:
         "mesh_error": r.mesh_error,
         "day_nordlander": 1.0 - math.sqrt(max(0.0, 1.0 - r.eps ** 2 / 4.0)),
     } for r in reports]
-    _emit(args, "convexity", rows, {"space": describe(space)})
+    _emit(args, "convexity", rows, {"space": space.describe()})
     return 0
 
 
@@ -286,7 +292,7 @@ def cmd_corrector(args) -> int:
         sys.stderr.write(f"corrector search failed: {exc}\n")
         return 1
     _emit_json(args, "corrector", {
-        "space": describe(space),
+        "space": space.describe(),
         "delta": args.delta,
         "k": k,
         "alpha_tilde": args.alpha_tilde,
@@ -319,7 +325,7 @@ def cmd_witness(args) -> int:
     _emit_json(args, "witness", {
         "family": args.family,
         "query": {"mu": args.mu, "theta": args.theta, "delta": args.delta},
-        "space": describe(space),
+        "space": space.describe(),
         "x": list(map(float, pair.x)),
         "f": list(map(float, pair.f)),
         "norm_x": pair.norm_x,
@@ -359,26 +365,20 @@ def cmd_verify(args) -> int:
 
 def _run_config(args) -> EstimatorConfig:
     seed = int(os.environ.get("BPB_SEED", args.seed))
-    return EstimatorConfig(resolution=args.resolution, tol=args.tol, seed=seed)
+    return EstimatorConfig(resolution=args.resolution, seed=seed)
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--resolution", type=int, default=400,
-                   help="sphere samples per dimension (default 400)")
-    p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
-    p.add_argument("--seed", type=int, default=1729,
-                   help="sampler seed (env BPB_SEED overrides)")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted and ignored; the estimators run in one thread")
+def _add_common(p: argparse.ArgumentParser, command: str) -> None:
+    """The shared options that ``command`` reads."""
+    if command in _SAMPLED:
+        p.add_argument("--resolution", type=int, default=400,
+                       help="sphere samples per dimension (default 400)")
+        p.add_argument("--seed", type=int, default=1729,
+                       help="sampler seed (env BPB_SEED overrides)")
     p.add_argument("--output", default=None, help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="table format (default csv)")
+    if command in _COLUMNS:  # the tables of _emit
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="table format (default csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--delta", type=_parse_range, required=True)
-    _add_common(p)
+    _add_common(p, "psi")
     p.set_defaults(fn=cmd_psi)
 
     p = sub.add_parser("bound", help="upper/lower modulus bounds over a delta range")
@@ -402,15 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_parse_range, required=True)
     p.add_argument("--alpha-tilde", type=float, default=None,
                    help="include the non-square spherical bound column")
-    _add_common(p)
+    _add_common(p, "bound")
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("distance", help="distance of a pair to the attainment set")
     p.add_argument("--space", required=True)
     p.add_argument("--x", type=_parse_vector, required=True)
     p.add_argument("--f", type=_parse_vector, required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_distance, format="json")
+    _add_common(p, "distance")
+    p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("modulus", help="grid modulus estimate over a delta range")
     p.add_argument("--space", required=True)
@@ -418,20 +418,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_parse_range, required=True)
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--theta", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, "modulus")
     p.set_defaults(fn=cmd_modulus)
 
     p = sub.add_parser("alpha", help="non-squareness parameter estimate")
     p.add_argument("--space", required=True)
     p.add_argument("--self-dual", action="store_true",
                    help="also estimate the dual space")
-    _add_common(p)
+    _add_common(p, "alpha")
     p.set_defaults(fn=cmd_alpha)
 
     p = sub.add_parser("convexity", help="modulus of convexity over an eps range")
     p.add_argument("--space", required=True)
     p.add_argument("--eps", type=_parse_range, required=True)
-    _add_common(p)
+    _add_common(p, "convexity")
     p.set_defaults(fn=cmd_convexity)
 
     p = sub.add_parser("corrector", help="attainment pair meeting both corrector bounds")
@@ -442,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=None,
                    help="step size (default: balance both bounds)")
     p.add_argument("--alpha-tilde", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_corrector, format="json")
+    _add_common(p, "corrector")
+    p.set_defaults(fn=cmd_corrector)
 
     p = sub.add_parser("witness", help="extremal pair construction")
     p.add_argument("--family", choices=("linf2", "sum1", "suminf", "real"),
@@ -453,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--component-a", default="r:1")
     p.add_argument("--component-b", default="r:1")
-    _add_common(p)
-    p.set_defaults(fn=cmd_witness, format="json")
+    _add_common(p, "witness")
+    p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("sharpness", "hilbert", "alpha",

@@ -30,7 +30,6 @@ __all__ = [
     "estimate_phi",
     "estimate_alpha",
     "audit_alpha_interior",
-    "estimate_convexity_modulus",
     "convexity_profile",
     "check_alpha_self_dual",
     "bpb_corrector",
@@ -220,12 +219,6 @@ def convexity_profile(space: NormedSpace, eps_values,
     return reports
 
 
-def estimate_convexity_modulus(space: NormedSpace, eps: float,
-                               config: EstimatorConfig = EstimatorConfig()) -> ConvexityReport:
-    """Modulus of convexity at a single separation level."""
-    return convexity_profile(space, [eps], config)[0]
-
-
 def check_alpha_self_dual(space: NormedSpace,
                           config: EstimatorConfig = EstimatorConfig()) -> tuple[AlphaReport, AlphaReport]:
     """Non-squareness estimates of a space and of its constructed dual."""
@@ -266,8 +259,7 @@ def bpb_corrector(space: NormedSpace, p: PairState, delta: float, k: float,
     it stops at the first pair that meets both (the query itself if it lies
     in Pi); the witness distance and both slacks are recomputed at that pair.
     """
-    tol = max(config.tol, 1e-9)
-    if abs(p.norm_x - 1.0) > tol or abs(p.norm_f - 1.0) > tol:
+    if abs(p.norm_x - 1.0) > 1e-9 or abs(p.norm_f - 1.0) > 1e-9:
         raise ValueError("corrector requires a unit-sphere pair")
     if not p.action > 1.0 - delta - 1e-12:
         raise ValueError("corrector requires action > 1 - delta")
@@ -281,7 +273,7 @@ def bpb_corrector(space: NormedSpace, p: PairState, delta: float, k: float,
     b1 = delta / k
     b2 = 2.0 * k - (2.0 / 3.0) * k * alpha_tilde
     pi = _cached_pi_sample(space, config)
-    v, y, g = _distance_core(space, p.x[None], p.f[None], [is_in_pi(space, p)], pi,
+    v, y, g = _distance_core(space, p.x[None], p.f[None], [is_in_pi(p)], pi,
                              score=lambda a, b: np.maximum(a - b1, 0.0) + np.maximum(b - b2, 0.0))
     a, b = space.norm(p.x - y[0]), pi.dual.norm(p.f - g[0])
     if v[0] > 1e-12:

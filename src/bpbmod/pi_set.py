@@ -125,10 +125,14 @@ def pair_state(space: NormedSpace, x, f) -> PairState:
     return PairState(x, f, space.norm(x), space.dual_norm(f), float(np.dot(f, x)))
 
 
-def is_in_pi(space: NormedSpace, p: PairState, tol: float = 1e-9) -> bool:
-    """True iff the pair lies on the attainment set up to tol."""
-    return (abs(p.norm_x - 1.0) <= tol and abs(p.norm_f - 1.0) <= tol
-            and abs(p.action - 1.0) <= tol)
+def _in_pi(nx, nf, act) -> np.ndarray:
+    """Whether pairs with these norms and actions lie in Pi, up to 1e-9; row-wise on arrays."""
+    return (np.abs(nx - 1.0) <= 1e-9) & (np.abs(nf - 1.0) <= 1e-9) & (np.abs(act - 1.0) <= 1e-9)
+
+
+def is_in_pi(p: PairState) -> bool:
+    """True iff the pair lies on the attainment set up to 1e-9."""
+    return bool(_in_pi(p.norm_x, p.norm_f, p.action))
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +309,6 @@ def _vnorm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _in_pi(nx, nf, act) -> np.ndarray:
-    """Row-wise ``is_in_pi`` of pairs given by their norms and actions."""
-    return (np.abs(nx - 1.0) <= 1e-9) & (np.abs(nf - 1.0) <= 1e-9) & (np.abs(act - 1.0) <= 1e-9)
-
-
 def _hilbert_witness_candidates(x: np.ndarray, f: np.ndarray) -> list[np.ndarray]:
     """Euclidean candidates for the closest diagonal pair (z, z).
 
@@ -470,9 +469,7 @@ def distance_to_pi(space: NormedSpace, p: PairState,
     candidates make 2-d estimates tight far beyond the mesh scale.
     """
     pi = _cached_pi_sample(space, config)
-    if len(pi.points) == 0:
-        raise EmptyConstraintError("empty attainment sample")
-    d, y, g = _distance_core(space, p.x[None], p.f[None], [is_in_pi(space, p)], pi, level=2)
+    d, y, g = _distance_core(space, p.x[None], p.f[None], [is_in_pi(p)], pi, level=2)
     return PiWitness(y[0], g[0], float(d[0]))
 
 

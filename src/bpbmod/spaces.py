@@ -38,16 +38,11 @@ __all__ = [
     "Sum1",
     "SumInf",
     "as_vector",
-    "norm",
-    "dual_norm",
-    "support_functional",
-    "dual_space",
     "sphere_chart",
     "sphere_sample",
     "sphere_sample_angles",
     "mesh_gap",
     "parse_space",
-    "describe",
     "describe_json",
 ]
 
@@ -94,21 +89,19 @@ class EstimatorConfig:
     resolution   samples per sphere dimension (2-d spheres get exactly
                  ``resolution`` angles; 3-d and 4-d spheres get
                  ``resolution**2`` and ``resolution**3`` points)
-    tol          numerical tolerance for membership and identity checks
-    seed         seed for the randomized samplers (4-d spheres, audits)
+    seed         seed of the random draws: the 4-d sphere sample, the
+                 3-d and 4-d ``mesh_gap`` probes and ``audit_alpha_interior``;
+                 2-d and 3-d samples do not depend on it
 
     The estimators run in one thread; results depend on these fields only.
     """
 
     resolution: int = 400
-    tol: float = 1e-9
     seed: int = 1729
 
     def __post_init__(self):
         if self.resolution < 8:
             raise ValueError("resolution must be at least 8")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 class NormedSpace:
@@ -145,10 +138,6 @@ class NormedSpace:
         if self.norm_rows(v)[0] == 0.0:
             raise SpaceError("support functional undefined at the origin")
         return self.support_rows(v)[0]
-
-    def action(self, f, v) -> float:
-        """Evaluate the functional f on the vector v (dot product)."""
-        return float(np.dot(as_vector(f, self.dim), as_vector(v, self.dim)))
 
     def unit(self, v) -> np.ndarray:
         """Radial projection of a nonzero vector onto the unit sphere."""
@@ -326,8 +315,12 @@ class Polytope(NormedSpace):
             hull = ConvexHull(self.vertices)
         except QhullError as exc:
             raise SpaceError("vertex hull has empty interior") from exc
-        normals = hull.equations[:, :-1]
-        offsets = -hull.equations[:, -1]
+        # Qhull's facets are simplices, so coplanar ones repeat a plane: keep
+        # one row per facet, the first of those within _TIE_TOL of each other
+        eq = hull.equations
+        near = np.abs(eq[:, None, :] - eq[None, :, :]).max(axis=2) <= _TIE_TOL
+        eq = eq[near.argmax(axis=1) == np.arange(len(eq))]
+        normals, offsets = eq[:, :-1], -eq[:, -1]
         if offsets.min() <= _SYMMETRY_TOL:
             raise SpaceError("origin is not interior to the vertex hull")
         object.__setattr__(self, "_hull_vertex_ids", hull.vertices)
@@ -551,26 +544,6 @@ class SumInf(_DirectSum):
                 "a": self.a.describe(), "b": self.b.describe()}
 
 
-# ---------------------------------------------------------------------------
-# Operation front ends
-
-
-def norm(space: NormedSpace, v) -> float:
-    return space.norm(v)
-
-
-def dual_norm(space: NormedSpace, f) -> float:
-    return space.dual_norm(f)
-
-
-def support_functional(space: NormedSpace, v) -> np.ndarray:
-    return space.support(v)
-
-
-def dual_space(space: NormedSpace) -> NormedSpace:
-    return space.dual()
-
-
 def _fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic quasi-uniform mesh of the euclidean 2-sphere."""
     i = np.arange(n, dtype=float) + 0.5
@@ -696,11 +669,6 @@ def parse_space(spec: str) -> NormedSpace:
             raise SpaceSpecError(f"{path} must contain a 'vertices' array")
         return Polytope(np.asarray(payload["vertices"], dtype=float))
     raise SpaceSpecError(f"unrecognized space spec {spec!r}")
-
-
-def describe(space: NormedSpace) -> dict:
-    """Canonical JSON-ready description of a parsed space."""
-    return space.describe()
 
 
 def describe_json(space: NormedSpace) -> str:

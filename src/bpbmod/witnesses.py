@@ -78,7 +78,7 @@ def canonical_pin(space: NormedSpace) -> tuple[np.ndarray, np.ndarray]:
 def _check_pin(space: NormedSpace, pin, name: str) -> tuple[np.ndarray, np.ndarray]:
     y, g = pin
     p = pair_state(space, y, g)
-    if not is_in_pi(space, p, tol=1e-9):
+    if not is_in_pi(p):
         raise ValueError(f"{name} is not an attainment pair of its component")
     return p.x, p.f
 

@@ -160,7 +160,7 @@ def test_criterion_08_corrector():
         b1 = delta / k
         b2 = 2.0 * k - (2.0 / 3.0) * k * alpha_tilde
         w = res.witness
-        if not is_in_pi(space, pair_state(space, w.y, w.g), tol=1e-9):
+        if not is_in_pi(pair_state(space, w.y, w.g)):
             failures.append(f"trial {trial}: witness not attaining")
         if space.norm(p.x - w.y) > b1 + 1e-9:
             failures.append(f"trial {trial}: point bound violated")

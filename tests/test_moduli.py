@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from bpbmod import (CorrectorSearchError, EmptyConstraintError, EstimatorConfig, Lp,
                     ModulusQuery, Polytope, RegimeError, bpb_corrector,
-                    check_alpha_self_dual, collapse_k, estimate_alpha,
-                    estimate_convexity_modulus, estimate_phi, estimate_phi_mut,
-                    hilbert_modulus, is_in_pi, pair_state, parse_space,
+                    check_alpha_self_dual, collapse_k, estimate_alpha, estimate_phi,
+                    estimate_phi_mut, hilbert_modulus, is_in_pi, pair_state, parse_space,
                     phi_lower_bound, phi_upper_bound)
 from bpbmod import moduli, pi_set
 from bpbmod.moduli import audit_alpha_interior, convexity_profile
@@ -154,7 +153,7 @@ def test_phi_mut_diagonal_cases(name, query, res, error):
     p = est.pair
     assert (p.norm_x, p.norm_f, p.action) == pytest.approx((query.mu, query.theta, query.mu * query.theta),
                                                          abs=1e-12)
-    assert is_in_pi(mut_space(name), pair_state(mut_space(name), est.witness.y, est.witness.g))
+    assert is_in_pi(pair_state(mut_space(name), est.witness.y, est.witness.g))
 
 
 MUT_SPACES = ["l1:2", "linf:2", "l2:2", "hexagon", "hexagon_rotated", "octagon"]
@@ -258,17 +257,17 @@ def test_alpha_self_dual_reuses_one_polytope_dual():
 
 
 def test_convexity_l2_antipodal(l2, cfg):
-    rep = estimate_convexity_modulus(l2, 2.0, cfg)
+    (rep,) = convexity_profile(l2, [2.0], cfg)
     assert rep.delta_x == pytest.approx(1.0, abs=1e-12)
 
 
 def test_convexity_l2_midlevel(l2):
-    rep = estimate_convexity_modulus(l2, 1.0, EstimatorConfig(resolution=2000))
+    (rep,) = convexity_profile(l2, [1.0], EstimatorConfig(resolution=2000))
     assert rep.delta_x == pytest.approx(1 - math.sqrt(3) / 2, abs=5e-3)
 
 
 def test_convexity_l1_flat(l1, cfg):
-    rep = estimate_convexity_modulus(l1, 1.0, cfg)
+    (rep,) = convexity_profile(l1, [1.0], cfg)
     assert rep.delta_x == pytest.approx(0.0, abs=1e-12)
 
 
@@ -282,7 +281,7 @@ def test_convexity_day_nordlander(l1, l2, linf, hexagon, sum1_rr, suminf_rr, cfg
 
 def test_convexity_rejects_bad_eps(l2, cfg_fast):
     with pytest.raises(ValueError):
-        estimate_convexity_modulus(l2, 2.5, cfg_fast)
+        convexity_profile(l2, [2.5], cfg_fast)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +357,7 @@ def test_corrector_near_pair(l2, cfg):
     res = bpb_corrector(l2, p, 0.2, 0.5, 0.58, cfg)
     assert l2.norm(p.x - res.witness.y) <= 0.4 + 1e-9
     assert l2.dual_norm(p.f - res.witness.g) <= 1 - 0.58 / 3 + 1e-9
-    assert is_in_pi(l2, pair_state(l2, res.witness.y, res.witness.g), tol=1e-9)
+    assert is_in_pi(pair_state(l2, res.witness.y, res.witness.g))
 
 
 def test_corrector_balanced_step():
@@ -390,7 +389,7 @@ def test_corrector_search_failure_diagnostics():
     cfg = EstimatorConfig(resolution=8)
     x = np.array([0.3, 0.7, 0.648074069840786]) / 0.7
     p = pair_state(space, x, [1e-4, 0.9998, 1e-4])
-    assert not is_in_pi(space, p)
+    assert not is_in_pi(p)
     with pytest.raises(CorrectorSearchError) as err:
         bpb_corrector(space, p, 0.0002, 0.01, 0.58, cfg)
     assert len(err.value.best_slacks) == 2
@@ -429,7 +428,7 @@ def test_corrector_battery(name, k, hexagon, cfg_fast):
         delta = 1.0 - p.action + 0.02
         res = bpb_corrector(space, p, delta, k, alpha, cfg_fast)
         w = res.witness
-        assert is_in_pi(space, pair_state(space, w.y, w.g), tol=1e-9)
+        assert is_in_pi(pair_state(space, w.y, w.g))
         a, b = space.norm(p.x - w.y), dual.norm(p.f - w.g)
         assert a <= delta / k and b <= b2
         assert (res.slack_x, res.slack_f, w.distance) == (delta / k - a, b2 - b, max(a, b))

@@ -23,15 +23,15 @@ RNG = np.random.default_rng(20240810)
 
 
 def test_is_in_pi_hilbert_unit_pair(l2):
-    assert is_in_pi(l2, pair_state(l2, [1, 0], [1, 0]))
+    assert is_in_pi(pair_state(l2, [1, 0], [1, 0]))
 
 
 def test_is_in_pi_linf_facet_vertex_pair(linf):
-    assert is_in_pi(linf, pair_state(linf, [1, 1], [1, 0]))
+    assert is_in_pi(pair_state(linf, [1, 1], [1, 0]))
 
 
 def test_is_in_pi_rejects_zero_action(l2):
-    assert not is_in_pi(l2, pair_state(l2, [1, 0], [0, 1]))
+    assert not is_in_pi(pair_state(l2, [1, 0], [0, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +42,7 @@ def test_sample_pi_hilbert_is_diagonal(l2):
     pairs = sample_pi(l2, EstimatorConfig(resolution=8))
     for y, g in pairs:
         np.testing.assert_allclose(y, g, atol=1e-12)
-        assert is_in_pi(l2, pair_state(l2, y, g), tol=1e-9)
+        assert is_in_pi(pair_state(l2, y, g))
     pts = np.array([y for y, _ in pairs])
     assert any(np.allclose(p, [1, 0], atol=1e-12) for p in pts)
     assert any(np.allclose(p, [0, 1], atol=1e-12) for p in pts)
@@ -73,7 +73,7 @@ def test_sample_pi_l1_covers_vertex_face(l1):
 def test_sample_pi_all_members(linf, hexagon, sum1_rr):
     for space in (linf, hexagon, sum1_rr):
         for y, g in sample_pi(space, EstimatorConfig(resolution=32)):
-            assert is_in_pi(space, pair_state(space, y, g), tol=1e-9)
+            assert is_in_pi(pair_state(space, y, g))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_distance_witness_consistency(linf, cfg):
     w = distance_to_pi(linf, p, cfg)
     assert w.distance == pytest.approx(
         max(linf.norm(p.x - w.y), linf.dual_norm(p.f - w.g)), abs=1e-12)
-    assert is_in_pi(linf, pair_state(linf, w.y, w.g), tol=1e-9)
+    assert is_in_pi(pair_state(linf, w.y, w.g))
 
 
 def test_distance_lower_bound_all_pairs(linf, l1, hexagon, cfg_fast):
@@ -135,7 +135,7 @@ def test_distance_zero_iff_in_pi(hexagon, cfg):
                        hexagon.support(x / hexagon.norm(x)))
         w = distance_to_pi(hexagon, p, cfg)
         assert w.distance <= 1e-9
-        assert is_in_pi(hexagon, p, tol=1e-9)
+        assert is_in_pi(p)
 
 
 def test_distance_refinement_improves_with_resolution(hexagon):

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from bpbmod import (DimensionMismatchError, EstimatorConfig, Lp, Polytope,
                     SpaceError, SpaceSpecError, Sum1, SumInf, describe_json,
-                    dual_norm, dual_space, norm, parse_space, sphere_sample,
-                    support_functional)
+                    parse_space, sphere_sample)
 from bpbmod import spaces
 from bpbmod.spaces import sphere_chart
 from bpbmod.verify import polytope_gauge_lp_oracle
@@ -22,11 +21,11 @@ RNG = np.random.default_rng(20240810)
 
 
 def test_norm_linf(linf):
-    assert norm(linf, [1.0, -1.0]) == 1.0
+    assert linf.norm([1.0, -1.0]) == 1.0
 
 
 def test_norm_l1(l1):
-    assert norm(l1, [0.3, -0.4]) == pytest.approx(0.7, abs=1e-15)
+    assert l1.norm([0.3, -0.4]) == pytest.approx(0.7, abs=1e-15)
 
 
 def _symmetric(vertices):
@@ -38,10 +37,10 @@ def test_norm_polytope_matches_lp_oracle(diamond):
     v = [0.5, 0.5]
     expected = polytope_gauge_lp_oracle(diamond.vertices, v)
     assert expected == pytest.approx(1.0, abs=1e-12)
-    assert norm(diamond, v) == pytest.approx(expected, abs=1e-12)
+    assert diamond.norm(v) == pytest.approx(expected, abs=1e-12)
     # the diamond gauge is the 1-norm
     for vec in RNG.standard_normal((20, 2)):
-        assert norm(diamond, vec) == pytest.approx(np.abs(vec).sum(), abs=1e-12)
+        assert diamond.norm(vec) == pytest.approx(np.abs(vec).sum(), abs=1e-12)
     rng = np.random.default_rng(7)
     polytopes = [
         _symmetric([[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]),  # cube
@@ -59,7 +58,7 @@ def test_norm_polytope_matches_lp_oracle(diamond):
 
 def test_norm_dimension_mismatch(l2):
     with pytest.raises(DimensionMismatchError):
-        norm(l2, [1.0, 2.0, 3.0])
+        l2.norm([1.0, 2.0, 3.0])
 
 
 def test_polytope_requires_symmetry():
@@ -77,22 +76,22 @@ def test_polytope_requires_interior():
 
 
 def test_dual_norm_linf(linf):
-    assert dual_norm(linf, [0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
+    assert linf.dual_norm([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dual_norm_square_vertices(square):
-    assert dual_norm(square, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
+    assert square.dual_norm([1.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dual_norm_sum1(sum1_rr):
-    assert dual_norm(sum1_rr, [0.3, 0.9]) == pytest.approx(0.9, abs=1e-15)
+    assert sum1_rr.dual_norm([0.3, 0.9]) == pytest.approx(0.9, abs=1e-15)
 
 
 def test_dual_norm_lp_conjugate():
     space = Lp(1.5, 3)
     f = np.array([0.2, -1.1, 0.7])
     q = 3.0  # conjugate of 1.5
-    assert dual_norm(space, f) == pytest.approx(np.sum(np.abs(f) ** q) ** (1 / q), rel=1e-12)
+    assert space.dual_norm(f) == pytest.approx(np.sum(np.abs(f) ** q) ** (1 / q), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -100,30 +99,30 @@ def test_dual_norm_lp_conjugate():
 
 
 def test_support_l2(l2):
-    np.testing.assert_allclose(support_functional(l2, [3.0, 4.0]), [0.6, 0.8],
+    np.testing.assert_allclose(l2.support([3.0, 4.0]), [0.6, 0.8],
                                atol=1e-15)
 
 
 def test_support_linf_unique_facet(linf):
-    np.testing.assert_allclose(support_functional(linf, [0.5, 1.0]), [0.0, 1.0],
+    np.testing.assert_allclose(linf.support([0.5, 1.0]), [0.0, 1.0],
                                atol=1e-15)
 
 
 def test_support_l1_sign_vector(l1):
-    np.testing.assert_allclose(support_functional(l1, [1.0, 0.0]), [1.0, 0.0],
+    np.testing.assert_allclose(l1.support([1.0, 0.0]), [1.0, 0.0],
                                atol=1e-15)
 
 
 def test_support_rejects_zero(l2):
     with pytest.raises(SpaceError):
-        support_functional(l2, [0.0, 0.0])
+        l2.support([0.0, 0.0])
 
 
 def test_euclidean_norm_scales_tiny_and_huge_rows(l2):
     # squares of 1e-200 underflow and those of 1e200 overflow
     assert l2.norm([1e-200, 0.0]) == 1e-200
     assert l2.norm([1e200, 1e200]) == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
-    np.testing.assert_array_equal(support_functional(l2, [1e-200, 0.0]), [1.0, 0.0])
+    np.testing.assert_array_equal(l2.support([1e-200, 0.0]), [1.0, 0.0])
     # every other row keeps the bits of the plain sum of squares
     rows = np.array([[3.0, 4.0], [1e-200, 0.0], [0.3, -0.7], [1e200, 1e200], [0.0, 0.0]])
     got = l2.norm_rows(rows)
@@ -133,7 +132,7 @@ def test_euclidean_norm_scales_tiny_and_huge_rows(l2):
 
 def test_support_barycentric_at_linf_vertex(linf):
     # at a ball vertex the subdifferential face is averaged
-    np.testing.assert_allclose(support_functional(linf, [1.0, 1.0]), [0.5, 0.5],
+    np.testing.assert_allclose(linf.support([1.0, 1.0]), [0.5, 0.5],
                                atol=1e-12)
 
 
@@ -150,10 +149,10 @@ def test_support_properties(space_key, request):
     vs = vs[space.norm_rows(vs) >= 1e-9]
     fs = space.support_rows(vs)
     for v, f_row in zip(vs, fs):
-        f = support_functional(space, v)
+        f = space.support(v)
         np.testing.assert_array_equal(f_row, f)
-        assert float(np.dot(f, v)) >= norm(space, v) - 1e-9
-        assert dual_norm(space, f) <= 1.0 + 1e-9
+        assert float(np.dot(f, v)) >= space.norm(v) - 1e-9
+        assert space.dual_norm(f) <= 1.0 + 1e-9
 
 
 @pytest.mark.parametrize("spec", ["lp:3:p=1.5", "linf:3", "suminf(l1:2,r:1)",
@@ -165,9 +164,9 @@ def test_support_rows_match_scalar_dim3(spec):
                     [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, -1.0]]])
     fs = space.support_rows(vs)
     for v, f_row in zip(vs, fs):
-        np.testing.assert_array_equal(f_row, support_functional(space, v))
-        assert float(np.dot(f_row, v)) == pytest.approx(norm(space, v), abs=1e-9)
-        assert dual_norm(space, f_row) == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_array_equal(f_row, space.support(v))
+        assert float(np.dot(f_row, v)) == pytest.approx(space.norm(v), abs=1e-9)
+        assert space.dual_norm(f_row) == pytest.approx(1.0, abs=1e-9)
 
 
 def _cube():
@@ -278,9 +277,9 @@ def test_support_rows_on_ties(linf, sum1_rr, suminf_rr):
 def test_support_lp_general():
     space = Lp(3.0, 3)
     v = np.array([0.5, -1.2, 0.1])
-    f = support_functional(space, v)
-    assert float(np.dot(f, v)) == pytest.approx(norm(space, v), rel=1e-12)
-    assert dual_norm(space, f) == pytest.approx(1.0, rel=1e-12)
+    f = space.support(v)
+    assert float(np.dot(f, v)) == pytest.approx(space.norm(v), rel=1e-12)
+    assert space.dual_norm(f) == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def test_holder_pairing(space_key, request):
     vs = RNG.standard_normal((30, space.dim))
     fs = RNG.standard_normal((30, space.dim))
     for v, f in zip(vs, fs):
-        assert abs(np.dot(f, v)) <= dual_norm(space, f) * norm(space, v) + 1e-9
+        assert abs(np.dot(f, v)) <= space.dual_norm(f) * space.norm(v) + 1e-9
 
 
 def test_bidual_polytope_dim2(hexagon):
@@ -310,26 +309,46 @@ def test_bidual_polytope_dim3():
         assert polar.dual_norm(v) == pytest.approx(octa.norm(v), abs=1e-8)
 
 
+def test_polytope_has_one_row_per_facet():
+    # Qhull splits each square face of the cube into two triangles
+    cube = _cube()
+    normals, offsets = cube._facets
+    assert len(normals) == len(offsets) == 6
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    assert sorted(map(tuple, cube.dual().vertices)) == sorted(map(tuple, octahedron))
+
+
+def test_support_at_a_prism_edge_is_the_facet_barycenter():
+    # hexagonal prism: 6 side faces and 2 hexagons, which Qhull triangulates
+    hexagon = [(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6)]
+    prism = Polytope(np.array([(x, y, z) for x, y in hexagon for z in (1.0, -1.0)]))
+    assert len(prism._facets[0]) == 8
+    # midpoint of the edge where the top face meets the side face (1, 1/sqrt 3, 0)
+    v = np.array([(1.0 + hexagon[1][0]) / 2.0, hexagon[1][1] / 2.0, 1.0])
+    side, top = np.array([1.0, 1.0 / math.sqrt(3.0), 0.0]), np.array([0.0, 0.0, 1.0])
+    np.testing.assert_allclose(prism.support(v), (side + top) / 2.0, atol=1e-12)
+
+
 def test_dual_space_constructions(l1, l2, linf, sum1_rr, suminf_rr):
-    assert dual_space(l1) == Lp(math.inf, 2)
-    assert dual_space(linf) == Lp(1.0, 2)
-    assert dual_space(l2) == l2
-    assert isinstance(dual_space(sum1_rr), SumInf)
-    assert isinstance(dual_space(suminf_rr), Sum1)
+    assert l1.dual() == Lp(math.inf, 2)
+    assert linf.dual() == Lp(1.0, 2)
+    assert l2.dual() == l2
+    assert isinstance(sum1_rr.dual(), SumInf)
+    assert isinstance(suminf_rr.dual(), Sum1)
 
 
 def test_sum_norms_exact(r1):
     s1, si = Sum1(r1, r1), SumInf(r1, r1)
     for v in RNG.standard_normal((20, 2)):
-        assert norm(s1, v) == abs(v[0]) + abs(v[1])
-        assert norm(si, v) == max(abs(v[0]), abs(v[1]))
+        assert s1.norm(v) == abs(v[0]) + abs(v[1])
+        assert si.norm(v) == max(abs(v[0]), abs(v[1]))
 
 
 def test_nested_sum_dims(r1, l2):
     nested = Sum1(SumInf(r1, r1), l2)
     assert nested.dim == 4
     v = np.array([1.0, -2.0, 3.0, 4.0])
-    assert norm(nested, v) == pytest.approx(2.0 + 5.0, abs=1e-12)
+    assert nested.norm(v) == pytest.approx(2.0 + 5.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +363,9 @@ def vectors(draw, dim=2):
 @given(u=vectors(), v=vectors(), lam=st.floats(-5, 5, allow_nan=False))
 @settings(max_examples=150, deadline=None)
 def test_norm_axioms_hexagon(u, v, lam, hexagon):
-    nu, nv = norm(hexagon, u), norm(hexagon, v)
-    assert norm(hexagon, u + v) <= nu + nv + 1e-9
-    assert norm(hexagon, lam * u) == pytest.approx(abs(lam) * nu, abs=1e-9)
+    nu, nv = hexagon.norm(u), hexagon.norm(v)
+    assert hexagon.norm(u + v) <= nu + nv + 1e-9
+    assert hexagon.norm(lam * u) == pytest.approx(abs(lam) * nu, abs=1e-9)
     if nu == 0.0:
         assert np.all(u == 0.0)
 
@@ -355,7 +374,7 @@ def test_norm_axioms_hexagon(u, v, lam, hexagon):
 @settings(max_examples=100, deadline=None)
 def test_norm_axioms_lp(u, v):
     space = Lp(2.5, 3)
-    assert norm(space, u + v) <= norm(space, u) + norm(space, v) + 1e-9
+    assert space.norm(u + v) <= space.norm(u) + space.norm(v) + 1e-9
 
 
 TWO_D_KINDS = ["l1", "l2", "linf", "lp:2:p=1.5", "hexagon", "sum1_rr", "suminf_rr"]
@@ -444,8 +463,6 @@ def test_sphere_sample_dim_limit():
 def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(resolution=4)
-    with pytest.raises(ValueError):
-        EstimatorConfig(tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_sum_witness_rejects_bad_pin(r1):
 def test_canonical_pins(l2, hexagon, r1):
     for space in (l2, hexagon, r1):
         y, g = canonical_pin(space)
-        assert is_in_pi(space, pair_state(space, y, g), tol=1e-9)
+        assert is_in_pi(pair_state(space, y, g))
 
 
 # ---------------------------------------------------------------------------
