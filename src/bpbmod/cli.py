@@ -2,17 +2,17 @@
 
 Commands: psi | bound | distance | modulus | alpha | convexity | corrector |
 witness | verify.  Numeric ranges accept ``a:b:step`` (inclusive of both ends
-within 1e-12) or a single value.  Identical invocations (including --seed)
-produce byte-identical output.
+within 1e-12, at most 10,000 values) or a single value.  Identical
+invocations produce byte-identical output.
 
 Each command takes only the options it reads.  The sampling estimators
-(distance, modulus, alpha, convexity, corrector) take ``--resolution`` and
-``--seed``; the table commands (psi, bound, modulus, alpha, convexity) take
+(distance, modulus, alpha, convexity, corrector) take ``--resolution``; the
+table commands (psi, bound, modulus, alpha, convexity) take
 ``--format csv|json``, and distance, corrector and witness always print JSON.
 Every command takes ``--output``.
 
-Environment: BPB_SEED overrides the default seed.  Exit codes: 0 ok,
-1 verification/search failure, 2 usage error, 3 numeric regime error.
+Exit codes: 0 ok, 1 verification/search failure, 2 usage error, 3 numeric
+regime error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from .closed_forms import (ModulusQuery, RegimeError, hilbert_distance, HilbertPair,
@@ -48,8 +47,10 @@ _COLUMNS = {
               "dual_mesh_error"],
     "convexity": ["eps", "delta_x", "mesh_error", "day_nordlander"],
 }
-# the commands that sample spheres, so read --resolution and --seed
+# the commands that sample spheres, so read --resolution
 _SAMPLED = ("distance", "modulus", "alpha", "convexity", "corrector")
+# most values of one a:b:step range
+_RANGE_MAX = 10_000
 
 
 def _parse_range(text: str) -> list[float]:
@@ -65,6 +66,9 @@ def _parse_range(text: str) -> list[float]:
     if start > stop + 1e-12:
         raise argparse.ArgumentTypeError(
             f"range start must not exceed its stop, got {text!r}")
+    if (stop + 1e-12 - start) / step >= _RANGE_MAX:
+        raise argparse.ArgumentTypeError(
+            f"range must have at most {_RANGE_MAX} values, got {text!r}")
     values = []
     v = start
     while v <= stop + 1e-12:
@@ -364,8 +368,7 @@ def cmd_verify(args) -> int:
 
 
 def _run_config(args) -> EstimatorConfig:
-    seed = int(os.environ.get("BPB_SEED", args.seed))
-    return EstimatorConfig(resolution=args.resolution, seed=seed)
+    return EstimatorConfig(resolution=args.resolution)
 
 
 def _add_common(p: argparse.ArgumentParser, command: str) -> None:
@@ -373,8 +376,6 @@ def _add_common(p: argparse.ArgumentParser, command: str) -> None:
     if command in _SAMPLED:
         p.add_argument("--resolution", type=int, default=400,
                        help="sphere samples per dimension (default 400)")
-        p.add_argument("--seed", type=int, default=1729,
-                       help="sampler seed (env BPB_SEED overrides)")
     p.add_argument("--output", default=None, help="output file (default stdout)")
     if command in _COLUMNS:  # the tables of _emit
         p.add_argument("--format", choices=("csv", "json"), default="csv",

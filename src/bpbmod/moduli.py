@@ -19,7 +19,7 @@ from .pi_set import (EmptyConstraintError, Mesh, ModulusEstimate, PairState, PiW
                      _tile_rows, _zoom, is_in_pi, pair_state)
 # the modulus at level delta in ball or sphere mode, under its short name
 from .pi_set import hausdorff_modulus_set as estimate_phi
-from .spaces import EstimatorConfig, NormedSpace, SpaceError, sphere_chart
+from .spaces import _SEED, EstimatorConfig, NormedSpace, SpaceError, sphere_chart
 
 __all__ = [
     "AlphaReport",
@@ -171,11 +171,9 @@ def estimate_alpha(space: NormedSpace,
     return AlphaReport(alpha=2.0 - best, maximizer=(bx, by), mesh_error=mesh.gap)
 
 
-def audit_alpha_interior(space: NormedSpace, report: AlphaReport,
-                         config: EstimatorConfig = EstimatorConfig(),
-                         trials: int = 512) -> float:
+def audit_alpha_interior(space: NormedSpace, trials: int = 512) -> float:
     """Worst interior-pair objective; callers assert it stays below the sphere max."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(_SEED)
     dirs = rng.standard_normal((2 * trials, space.dim))
     dirs /= space.norm_rows(dirs)[:, None]
     radii = rng.uniform(0.0, 1.0, size=2 * trials)

@@ -30,10 +30,11 @@ are skipped.  The seeds, their values and their argmax functionals are
 bitwise those of a scan of every feasible pair.  The one array that grows
 with the mesh is the functionals' distance rows, N_f x N_pi, each built
 when a pair first needs it; a sweep that could need more than 1 GiB for
-them raises ``SweepTooLargeError``, a regime error, before any work.
+them raises ``SweepTooLargeError``, a regime error, before any work, and
+so does a unit-sphere mesh whose coordinates alone would pass 256 MiB.
 
-Estimators are deterministic for a fixed seed and resolution: reductions
-break ties by lowest sample index.
+Estimators are deterministic for a fixed resolution: reductions break ties
+by lowest sample index.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from types import GeneratorType
 import numpy as np
 
 from .closed_forms import RegimeError
-from .spaces import (EstimatorConfig, Lp, NormedSpace, as_vector, mesh_gap,
-                     sphere_chart, sphere_sample, sphere_sample_angles)
+from .spaces import (_SAMPLE_DIM_LIMIT, EstimatorConfig, Lp, NormedSpace, as_vector,
+                     mesh_gap, sphere_chart, sphere_sample, sphere_sample_angles)
 
 __all__ = [
     "Mesh",
@@ -69,6 +70,9 @@ _TILE_ELEMS = 1 << 17
 # Ceiling on the distance rows of a pair sweep, the one array it keeps
 # whose size grows with the mesh.
 _DF_BYTES_MAX = 1 << 30
+# Ceiling on the coordinates of one unit-sphere mesh; drawing it takes a
+# few transients of this size.
+_MESH_BYTES_MAX = 1 << 28
 # Best mesh rows of a pair sweep that seed its refinement.
 _TOP_K = 4
 # Every _ANCHOR_STEP-th marked row and column of a pair sweep is an anchor
@@ -726,13 +730,18 @@ def _sphere_mesh(space: NormedSpace, config: EstimatorConfig) -> Mesh:
     Its arrays are read-only, shared by the Pi sample, the pair sweeps, alpha
     and convexity.  Key a dual on ``pi.dual``: a polytope hashes by identity.
     """
+    need = config.resolution ** (space.dim - 1) * space.dim * 8
+    if space.dim <= _SAMPLE_DIM_LIMIT and need > _MESH_BYTES_MAX:
+        raise SweepTooLargeError(
+            f"the unit-sphere mesh needs {need / 2**30:.2f} GiB "
+            f"(ceiling {_MESH_BYTES_MAX / 2**30:.2f} GiB); lower --resolution")
     if space.dim == 2:
         angles, pts = sphere_sample_angles(space, config.resolution)
         angles.setflags(write=False)
     else:
         angles, pts = None, sphere_sample(space, config)
     pts.setflags(write=False)
-    return Mesh(pts, angles, None, mesh_gap(space, pts, config.seed))
+    return Mesh(pts, angles, None, mesh_gap(space, pts))
 
 
 def _ball_mesh(config, mesh: Mesh) -> Mesh:

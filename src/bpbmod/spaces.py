@@ -51,6 +51,9 @@ _SYMMETRY_TOL = 1e-12
 # Tie detection for subdifferential faces (argmax sets, equal component norms).
 _TIE_TOL = 1e-12
 _SAMPLE_DIM_LIMIT = 4
+# Seed of the estimators' random draws: the 4-d sphere sample, the 3-d and 4-d
+# mesh_gap probes and moduli.audit_alpha_interior.
+_SEED = 1729
 # Row reductions of batches with at least this many rows, over fewer than
 # _LOOP_COLS columns, loop over the columns (see _reduce_rows).  Shorter
 # batches reduce as fast in one call; a polytope gauge breaks even near 200
@@ -89,15 +92,11 @@ class EstimatorConfig:
     resolution   samples per sphere dimension (2-d spheres get exactly
                  ``resolution`` angles; 3-d and 4-d spheres get
                  ``resolution**2`` and ``resolution**3`` points)
-    seed         seed of the random draws: the 4-d sphere sample, the
-                 3-d and 4-d ``mesh_gap`` probes and ``audit_alpha_interior``;
-                 2-d and 3-d samples do not depend on it
 
-    The estimators run in one thread; results depend on these fields only.
+    The estimators run in one thread; results depend on this field only.
     """
 
     resolution: int = 400
-    seed: int = 1729
 
     def __post_init__(self):
         if self.resolution < 8:
@@ -591,14 +590,14 @@ def sphere_sample(space: NormedSpace, config: EstimatorConfig) -> np.ndarray:
     if space.dim == 3:
         dirs = _fibonacci_sphere(config.resolution ** 2)
     else:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(_SEED)
         dirs = rng.standard_normal((config.resolution ** 3, space.dim))
         keep = np.linalg.norm(dirs, axis=1) > 1e-12
         dirs = dirs[keep]
     return dirs / space.norm_rows(dirs)[:, None]
 
 
-def mesh_gap(space: NormedSpace, pts: np.ndarray, seed: int = 0) -> float:
+def mesh_gap(space: NormedSpace, pts: np.ndarray) -> float:
     """Largest gap of a unit-sphere mesh in the space's own norm.
 
     Exact cyclic-adjacency bound in 2-d; otherwise an estimate from probes on
@@ -609,8 +608,8 @@ def mesh_gap(space: NormedSpace, pts: np.ndarray, seed: int = 0) -> float:
     if space.dim == 2:
         diffs = pts - np.roll(pts, -1, axis=0)
         return float(space.norm_rows(diffs).max())
-    # a stream of its own: the 4-d sphere sample draws from default_rng(seed)
-    rng = np.random.default_rng([seed, 1])
+    # a stream of its own: the 4-d sphere sample draws from default_rng(_SEED)
+    rng = np.random.default_rng([_SEED, 1])
     probes = rng.standard_normal((64, space.dim))
     probes /= space.norm_rows(probes)[:, None]
     worst = 0.0

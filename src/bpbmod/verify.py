@@ -191,11 +191,10 @@ def _second_branch_value(a: float, b: float, ip: float) -> float:
     return math.sqrt(max(0.0, 1.0 - ip - 2.0 * lam * cross))
 
 
-def hilbert_suite(n_pairs: int = 200, resolution: int = 4000,
-                  seed: int = 20240811, oracle_tol: float = 1e-4,
+def hilbert_suite(n_pairs: int = 200, resolution: int = 4000, oracle_tol: float = 1e-4,
                   continuity_tol: float = 1e-9) -> list[CheckResult]:
     """Euclidean closed-form distance against the brute-force circle oracle."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240811)
     worst = 0.0
     for _ in range(n_pairs):
         x = rng.standard_normal(2)

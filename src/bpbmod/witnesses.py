@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .closed_forms import ModulusQuery, RegimeError, phi_upper_bound, psi, real_line_distance
-from .pi_set import PairState, is_in_pi, pair_state
+from .pi_set import PairState, pair_state
 from .spaces import Lp, NormedSpace, Sum1, SumInf
 
 __all__ = [
@@ -75,19 +75,10 @@ def canonical_pin(space: NormedSpace) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"no canonical attainment pair for {space!r}")
 
 
-def _check_pin(space: NormedSpace, pin, name: str) -> tuple[np.ndarray, np.ndarray]:
-    y, g = pin
-    p = pair_state(space, y, g)
-    if not is_in_pi(p):
-        raise ValueError(f"{name} is not an attainment pair of its component")
-    return p.x, p.f
-
-
-def sum1_witness(a: NormedSpace, b: NormedSpace, q: ModulusQuery,
-                 pin_a=None, pin_b=None) -> tuple[PairState, float]:
+def sum1_witness(a: NormedSpace, b: NormedSpace, q: ModulusQuery) -> tuple[PairState, float]:
     """Extremal pair on the sum-normed direct sum of two spaces.
 
-    With attainment pins (y0, y0*) of A and (z0, z0*) of B and
+    With the canonical pins (y0, y0*) of A and (z0, z0*) of B and
     k = (mu - theta + root) / (4 mu):
 
         x = (mu k y0, mu (1-k) z0),   f = ((1 - psi) y0*, theta z0*).
@@ -97,8 +88,8 @@ def sum1_witness(a: NormedSpace, b: NormedSpace, q: ModulusQuery,
     if not q.regime_sum:
         raise RegimeError(
             "direct-sum witness requires delta < 1 and 1-delta < mu*theta <= 2(1-delta)")
-    y0, y0s = _check_pin(a, pin_a or canonical_pin(a), "pin_a")
-    z0, z0s = _check_pin(b, pin_b or canonical_pin(b), "pin_b")
+    y0, y0s = canonical_pin(a)
+    z0, z0s = canonical_pin(b)
     value = psi(q)
     k = (q.mu - q.theta + _root(q)) / (4.0 * q.mu)
     space = Sum1(a, b)
@@ -107,8 +98,7 @@ def sum1_witness(a: NormedSpace, b: NormedSpace, q: ModulusQuery,
     return pair_state(space, x, f), value
 
 
-def suminf_witness(a: NormedSpace, b: NormedSpace, q: ModulusQuery,
-                   pin_a=None, pin_b=None) -> tuple[PairState, float]:
+def suminf_witness(a: NormedSpace, b: NormedSpace, q: ModulusQuery) -> tuple[PairState, float]:
     """Extremal pair on the max-normed direct sum; dual mirror of sum1_witness.
 
     With k = (theta - mu + root) / (4 theta):
@@ -118,8 +108,8 @@ def suminf_witness(a: NormedSpace, b: NormedSpace, q: ModulusQuery,
     if not q.regime_sum:
         raise RegimeError(
             "direct-sum witness requires delta < 1 and 1-delta < mu*theta <= 2(1-delta)")
-    y0, y0s = _check_pin(a, pin_a or canonical_pin(a), "pin_a")
-    z0, z0s = _check_pin(b, pin_b or canonical_pin(b), "pin_b")
+    y0, y0s = canonical_pin(a)
+    z0, z0s = canonical_pin(b)
     value = psi(q)
     k = (q.theta - q.mu + _root(q)) / (4.0 * q.theta)
     space = SumInf(a, b)

@@ -194,7 +194,7 @@ def test_exit_code_regime_error(capsys):
 
 def test_byte_identical_outputs(tmp_path):
     argv = ["modulus", "--space", "l2:2", "--mode", "sphere", "--delta",
-            "0.2:0.6:0.2", "--resolution", "160", "--seed", "7"]
+            "0.2:0.6:0.2", "--resolution", "160"]
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(argv + ["--output", str(out1)]) == 0
     assert main(argv + ["--output", str(out2)]) == 0
@@ -210,12 +210,6 @@ def test_byte_identical_json(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_seed_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BPB_SEED", "99")
-    code, _ = run(capsys, "alpha", "--space", "l2:2", "--resolution", "160")
-    assert code == 0
-
-
 # the README's CLI examples, other than verify, with their recorded stdout
 README_EXAMPLES = {
     "psi": "psi --mu 1 --theta 1 --delta 0.1:0.5:0.1",
@@ -229,10 +223,11 @@ README_EXAMPLES = {
 }
 
 
-# commands whose outputs pin refinement paths the README examples do not
-# reach: the ball-mode and lp alpha zooms, a distance whose sweep profile
-# has two basins, a distance that the dual-face stage sets (0.0065, where
-# the sample alone gives 0.0191), and the corrector's sweep zoom
+# commands whose outputs pin paths the README examples do not reach: the
+# ball-mode and lp alpha zooms, a distance whose sweep profile has two
+# basins, a distance that the dual-face stage sets (0.0065, where the sample
+# alone gives 0.0191), the corrector's sweep zoom, and the two seeded draws,
+# the 3-d mesh_gap probes (alpha's mesh_error) and the 4-d Gaussian sample
 REFINEMENT_EXAMPLES = {
     "modulus_ball": "modulus --space linf:2 --mode ball --delta 0.5 --resolution 160",
     "alpha_lp": "alpha --space lp:2:p=1.5 --resolution 160",
@@ -241,24 +236,25 @@ REFINEMENT_EXAMPLES = {
     "corrector_lp": "corrector --space lp:2:p=1.5 --x 0.7651485317423954,0.47821783233899706"
                     " --f 0.9879506340125244,0.32931687800417475 --delta 0.1 --k 0.0003"
                     " --alpha-tilde 0.58",
+    "alpha_l2_3": "alpha --space l2:3 --resolution 20",
+    "modulus_l2_4": "modulus --space l2:4 --mode sphere --delta 0.2 --resolution 8",
 }
 
 
-def _assert_golden(name, argv, monkeypatch, capsys):
-    monkeypatch.delenv("BPB_SEED", raising=False)
+def _assert_golden(name, argv, capsys):
     code, out = run(capsys, *argv.split())
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(README_EXAMPLES))
-def test_readme_examples_match_golden(name, monkeypatch, capsys):
-    _assert_golden(name, README_EXAMPLES[name], monkeypatch, capsys)
+def test_readme_examples_match_golden(name, capsys):
+    _assert_golden(name, README_EXAMPLES[name], capsys)
 
 
 @pytest.mark.parametrize("name", sorted(REFINEMENT_EXAMPLES))
-def test_refinement_examples_match_golden(name, monkeypatch, capsys):
-    _assert_golden(name, REFINEMENT_EXAMPLES[name], monkeypatch, capsys)
+def test_refinement_examples_match_golden(name, capsys):
+    _assert_golden(name, REFINEMENT_EXAMPLES[name], capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,12 +268,15 @@ def test_refinement_examples_match_golden(name, monkeypatch, capsys):
     "verify --suite hilbert --resolution 0",
     "verify --suite hilbert --resolution 3",
     "psi --mu 1 --theta 1 --delta 0.5:0.1:0.1",
+    # 10,001 values, one past the cap
+    "psi --mu 1 --theta 1 --delta 0:1:0.0001",
     # options a command does not read are not accepted
     "psi --mu 1 --theta 1 --delta 0.5 --resolution 3",
     "witness --family linf2 --mu 1 --theta 1 --delta 0.5 --format csv",
     "distance --space l2:2 --x 1,0 --f 0,1 --format csv",
     "corrector --space l2:2 --x 1.3,0 --f 1,0 --delta 0.1 --alpha-tilde 0.58 --tol 0.5",
     "modulus --space l2:2 --mode sphere --delta 0.5 --threads 2",
+    "modulus --space l2:2 --mode sphere --delta 0.5 --seed 7",
 ])
 def test_malformed_input_exits_2(argv, capsys):
     assert exit_code(argv.split()) == 2
@@ -313,6 +312,22 @@ def test_modulus_past_a_lowered_memory_ceiling_exits_3(monkeypatch, capsys):
     assert "Traceback" not in captured.err
     (line,) = captured.err.splitlines()
     assert line.startswith("regime error: the pair sweep needs")
+    assert line.endswith("lower --resolution")
+
+
+def test_sphere_mesh_past_a_lowered_memory_ceiling_exits_3(monkeypatch, capsys):
+    # 1,000 points of l2:4 at resolution 10 take 32,000 bytes; a 16 KiB
+    # ceiling refuses them before the draw, unless a cache already holds them
+    pi_set._cached_pi_sample.cache_clear()
+    pi_set._sphere_mesh.cache_clear()
+    monkeypatch.setattr(pi_set, "_MESH_BYTES_MAX", 1 << 14)
+    argv = "distance --space l2:4 --x 1,0,0,0 --f 0,1,0,0 --resolution 10".split()
+    assert exit_code(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("regime error: the unit-sphere mesh needs")
     assert line.endswith("lower --resolution")
 
 

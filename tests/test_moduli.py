@@ -224,7 +224,7 @@ def test_alpha_ceiling(hexagon, l1, l2, linf, cfg_fast):
 def test_alpha_interior_audit(l2, hexagon, cfg_fast):
     for space in (l2, hexagon):
         rep = estimate_alpha(space, cfg_fast)
-        worst = audit_alpha_interior(space, rep, cfg_fast)
+        worst = audit_alpha_interior(space)
         assert worst <= 2 - rep.alpha + 1e-9
 
 
@@ -303,11 +303,11 @@ def test_pair_sweeps_match_dense_oracle(sweep_spaces, tile_rows, data, seed, n):
     obj = (sums + diffs) / 2.0
     i0, j0 = divmod(int(np.argmax(obj)), n)
     cfg = EstimatorConfig()
-    band = 2.0 * mesh_gap(space, pts, cfg.seed)
+    band = 2.0 * mesh_gap(space, pts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pi_set, "_TILE_ELEMS", tile_rows * n * dim)
         mp.setattr(moduli, "_alpha_points",
-                   lambda space, config: Mesh(pts, None, None, mesh_gap(space, pts, config.seed)))
+                   lambda space, config: Mesh(pts, None, None, mesh_gap(space, pts)))
         rep = estimate_alpha(space, cfg)
         assert type(rep.alpha) is float
         assert rep.alpha == 2.0 - float(obj[i0, j0])

@@ -126,12 +126,6 @@ def test_suminf_witness_mixed_components(l2, r1):
     assert predicted == pytest.approx(math.sqrt(0.6), abs=1e-12)
 
 
-def test_sum_witness_rejects_bad_pin(r1):
-    with pytest.raises(ValueError):
-        sum1_witness(r1, r1, q(0.9, 0.9, 0.4),
-                     pin_a=(np.array([0.5]), np.array([1.0])))
-
-
 def test_canonical_pins(l2, hexagon, r1):
     for space in (l2, hexagon, r1):
         y, g = canonical_pin(space)
