@@ -20,8 +20,7 @@ from .pi_set import (EmptyConstraintError, ModulusEstimate, PairState, PiWitness
                      distance_to_pi, hausdorff_modulus_set, is_in_pi, pair_state,
                      sample_pi)
 from .spaces import (DimensionMismatchError, EstimatorConfig, Lp, NormedSpace,
-                     Polytope, SpaceError, SpaceSpecError, Sum1, SumInf,
-                     describe_json, parse_space, sphere_sample)
+                     Polytope, SpaceError, SpaceSpecError, Sum1, SumInf, parse_space)
 from .witnesses import (canonical_pin, linf2_witness, real_witness, sum1_witness,
                         suminf_witness)
 

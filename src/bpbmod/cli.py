@@ -200,7 +200,7 @@ def cmd_bound(args) -> int:
 
 def cmd_distance(args) -> int:
     space = parse_space(args.space)
-    cfg = _run_config(args)
+    cfg = EstimatorConfig(resolution=args.resolution)
     pair = pair_state(space, args.x, args.f)
     witness = distance_to_pi(space, pair, cfg)
     closed = None
@@ -221,7 +221,7 @@ def cmd_distance(args) -> int:
 
 def cmd_modulus(args) -> int:
     space = parse_space(args.space)
-    cfg = _run_config(args)
+    cfg = EstimatorConfig(resolution=args.resolution)
     rows = []
     for delta in args.delta:
         row = {"delta": delta, "note": ""}
@@ -253,7 +253,7 @@ def cmd_modulus(args) -> int:
 
 def cmd_alpha(args) -> int:
     space = parse_space(args.space)
-    cfg = _run_config(args)
+    cfg = EstimatorConfig(resolution=args.resolution)
     if args.self_dual:
         rep, rep_dual = check_alpha_self_dual(space, cfg)
     else:
@@ -273,7 +273,7 @@ def cmd_alpha(args) -> int:
 
 def cmd_convexity(args) -> int:
     space = parse_space(args.space)
-    cfg = _run_config(args)
+    cfg = EstimatorConfig(resolution=args.resolution)
     reports = convexity_profile(space, args.eps, cfg)
     rows = [{
         "eps": r.eps,
@@ -287,7 +287,7 @@ def cmd_convexity(args) -> int:
 
 def cmd_corrector(args) -> int:
     space = parse_space(args.space)
-    cfg = _run_config(args)
+    cfg = EstimatorConfig(resolution=args.resolution)
     pair = pair_state(space, args.x, args.f)
     k = args.k if args.k is not None else collapse_k(args.delta, args.alpha_tilde)
     try:
@@ -365,10 +365,6 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Parser
-
-
-def _run_config(args) -> EstimatorConfig:
-    return EstimatorConfig(resolution=args.resolution)
 
 
 def _add_common(p: argparse.ArgumentParser, command: str) -> None:

@@ -5,10 +5,11 @@ For a space X, the attainment set is
     Pi(X) = {(y, g) : |y| = |g|* = g(y) = 1},
 
 and the distance of a point-functional pair to it is measured in the max
-metric d((x, f), (y, g)) = max(|x - y|, |f - g|*).  This module samples
-Pi(X) (covering the face structure of polytopal balls in two dimensions),
-computes certified-upper-bound distances with local refinement, and runs the
-grid suprema that estimate the almost-attainment moduli.
+metric d((x, f), (y, g)) = max(|x - y|, |f - g|*).  This module meshes
+unit spheres, samples Pi(X) (covering the face structure of polytopal balls
+in two dimensions), computes certified-upper-bound distances with local
+refinement, and runs the grid suprema that estimate the almost-attainment
+moduli.
 
 One search, ``_distance_core``, serves a batch of query pairs: each stage
 but the euclidean closed forms is a few array calls over all pairs, and each
@@ -47,8 +48,8 @@ from types import GeneratorType
 import numpy as np
 
 from .closed_forms import RegimeError
-from .spaces import (_SAMPLE_DIM_LIMIT, EstimatorConfig, Lp, NormedSpace, as_vector,
-                     mesh_gap, sphere_chart, sphere_sample, sphere_sample_angles)
+from .spaces import (_SEED, EstimatorConfig, Lp, NormedSpace, SpaceError, as_vector,
+                     mesh_gap, sphere_chart)
 
 __all__ = [
     "Mesh",
@@ -73,6 +74,8 @@ _DF_BYTES_MAX = 1 << 30
 # Ceiling on the coordinates of one unit-sphere mesh; drawing it takes a
 # few transients of this size.
 _MESH_BYTES_MAX = 1 << 28
+# Largest dimension with a unit-sphere mesh: it has resolution**(dim - 1) points.
+_SAMPLE_DIM_LIMIT = 4
 # Best mesh rows of a pair sweep that seed its refinement.
 _TOP_K = 4
 # Every _ANCHOR_STEP-th marked row and column of a pair sweep is an anchor
@@ -392,8 +395,9 @@ def _distance_core(space: NormedSpace, x, f, in_pi, pi: PiSample, level: int = 2
         # convex 1-d minimization over each dual-face segment; the score is
         # nondecreasing in the functional gap, so minimizing that gap suffices.
         # One golden lane per (row, face) that passes the face's skip test
-        # score(cx, 0) < best now; the faces then apply in order under the
-        # same test against the running best, as a face-by-face loop would
+        # score(cx, 0) < best now; the faces then apply in order where their
+        # value beats the running best, as a face-by-face loop would: that
+        # value is at least score(cx, 0), so it passes the skip test too
         verts = np.array([seg.vertex for seg in pi.faces])
         cx = space.norm_rows((x[:, None, :] - verts).reshape(-1, dim)).reshape(nq, -1)
         lq, ls = np.nonzero(score(cx, 0.0) < best[:, None])
@@ -411,7 +415,7 @@ def _distance_core(space: NormedSpace, x, f, in_pi, pi: PiSample, level: int = 2
             v = score(cx[lq, ls], np.array(qs))
             for r in np.argsort(ls, kind="stable"):
                 q, s = lq[r], ls[r]
-                if score(cx[q, s], 0.0) < best[q] and v[r] < best[q]:
+                if v[r] < best[q]:
                     best[q], ys[q], gs[q] = v[r], verts[s], g[r]
     if level >= 1 and isinstance(space, Lp) and space.p == 2.0 and space.dim >= 2:
         # exact euclidean candidates: closed forms, row by row
@@ -723,23 +727,50 @@ def _sup_over_pairs(space, xm: Mesh, fm: Mesh, floor, pi, *, refine_rounds=3):
     return ModulusEstimate(float(d[k]), mesh_error, pair, PiWitness(y[k], g[k], float(d[k])))
 
 
+def _fibonacci_sphere(n: int) -> np.ndarray:
+    """Deterministic quasi-uniform mesh of the euclidean 2-sphere."""
+    i = np.arange(n, dtype=float) + 0.5
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+    z = 1.0 - 2.0 * i / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
 @lru_cache(maxsize=64)
 def _sphere_mesh(space: NormedSpace, config: EstimatorConfig) -> Mesh:
     """The unit-sphere mesh of one (space, config), built once with its gap.
 
-    Its arrays are read-only, shared by the Pi sample, the pair sweeps, alpha
-    and convexity.  Key a dual on ``pi.dual``: a polytope hashes by identity.
+    With r the resolution: in dim 1 the points +-1; in dim 2, r evenly
+    spaced angles through ``sphere_chart``; in dim 3, the r**2 directions
+    of ``_fibonacci_sphere``; in dim 4, r**3 Gaussian directions drawn from
+    ``default_rng(_SEED)``, without zero rows.  Directions are scaled onto
+    the unit sphere of the norm.  Above dimension 4 it raises ``SpaceError``
+    (a usage error), before it checks the memory ceiling.  Its arrays are
+    read-only, shared by the Pi sample, the pair sweeps, alpha and
+    convexity.  Key a dual on ``pi.dual``: a polytope hashes by identity.
     """
-    need = config.resolution ** (space.dim - 1) * space.dim * 8
-    if space.dim <= _SAMPLE_DIM_LIMIT and need > _MESH_BYTES_MAX:
+    res, dim = config.resolution, space.dim
+    if dim > _SAMPLE_DIM_LIMIT:
+        raise SpaceError(f"sphere sampling is limited to dimension {_SAMPLE_DIM_LIMIT}")
+    need = res ** (dim - 1) * dim * 8
+    if need > _MESH_BYTES_MAX:
         raise SweepTooLargeError(
             f"the unit-sphere mesh needs {need / 2**30:.2f} GiB "
             f"(ceiling {_MESH_BYTES_MAX / 2**30:.2f} GiB); lower --resolution")
-    if space.dim == 2:
-        angles, pts = sphere_sample_angles(space, config.resolution)
+    angles = None
+    if dim == 1:
+        pts = np.array([[1.0], [-1.0]])
+    elif dim == 2:
+        angles = np.arange(res) * (2.0 * math.pi / res)
         angles.setflags(write=False)
+        pts = sphere_chart(space, angles)
     else:
-        angles, pts = None, sphere_sample(space, config)
+        if dim == 3:
+            dirs = _fibonacci_sphere(res ** 2)
+        else:
+            dirs = np.random.default_rng(_SEED).standard_normal((res ** 3, dim))
+            dirs = dirs[np.linalg.norm(dirs, axis=1) > 1e-12]
+        pts = dirs / space.norm_rows(dirs)[:, None]
     pts.setflags(write=False)
     return Mesh(pts, angles, None, mesh_gap(space, pts))
 

@@ -1,7 +1,8 @@
 """Finite-dimensional real normed spaces as exact norm oracles.
 
-Every space exposes the primal norm, the dual norm, supporting functionals,
-a constructible dual space, and deterministic unit-sphere samplers.  All
+Every space exposes the primal norm, the dual norm, supporting functionals
+and a constructible dual space; the 2-d angular chart and the gap of a
+unit-sphere mesh are here too, and ``pi_set`` draws the meshes.  All
 instances are immutable after construction and every operation is a pure
 function, so concurrent use needs no coordination.
 
@@ -39,20 +40,17 @@ __all__ = [
     "SumInf",
     "as_vector",
     "sphere_chart",
-    "sphere_sample",
-    "sphere_sample_angles",
     "mesh_gap",
     "parse_space",
-    "describe_json",
 ]
 
 # Vertex lists must contain -v for every v up to this absolute slack.
 _SYMMETRY_TOL = 1e-12
 # Tie detection for subdifferential faces (argmax sets, equal component norms).
 _TIE_TOL = 1e-12
-_SAMPLE_DIM_LIMIT = 4
-# Seed of the estimators' random draws: the 4-d sphere sample, the 3-d and 4-d
-# mesh_gap probes and moduli.audit_alpha_interior.
+# Seed of the estimators' random draws: the 4-d sphere mesh of
+# pi_set._sphere_mesh, the 3-d and 4-d mesh_gap probes and
+# moduli.audit_alpha_interior.
 _SEED = 1729
 # Row reductions of batches with at least this many rows, over fewer than
 # _LOOP_COLS columns, loop over the columns (see _reduce_rows).  Shorter
@@ -170,14 +168,8 @@ class NormedSpace:
         """
         return np.zeros((0, self.dim))
 
-    def spec(self) -> str:
-        raise NotImplementedError
-
     def describe(self) -> dict:
         raise NotImplementedError
-
-    def __repr__(self):
-        return f"<{type(self).__name__} {self.spec()}>"
 
 
 def _conjugate_exponent(p: float) -> float:
@@ -188,7 +180,7 @@ def _conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class Lp(NormedSpace):
     """Sequence space with the p-norm; p = 1 and p = inf are native."""
 
@@ -264,20 +256,11 @@ class Lp(NormedSpace):
             return np.array(list(itertools.product((1.0, -1.0), repeat=self.dim)))
         return np.zeros((0, self.dim))
 
-    def spec(self):
-        if self.p == 1.0:
-            return f"l1:{self.dim}"
-        if self.p == 2.0:
-            return f"l2:{self.dim}"
-        if self.p == math.inf:
-            return f"linf:{self.dim}"
-        return f"lp:{self.dim}:p={self.p:g}"
-
     def describe(self):
         return {"kind": "lp", "p": "inf" if self.p == math.inf else self.p, "dim": self.dim}
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class Polytope(NormedSpace):
     """Norm whose unit ball is the convex hull of a symmetric vertex list."""
 
@@ -362,9 +345,6 @@ class Polytope(NormedSpace):
         self._facets
         return self.vertices[self._hull_vertex_ids]
 
-    def spec(self):
-        return "poly:<inline>"
-
     def describe(self):
         return {
             "kind": "polytope",
@@ -435,7 +415,7 @@ def _max_row_products(rows: np.ndarray, mat: np.ndarray, scale=None) -> np.ndarr
     return out
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True)
 class _DirectSum(NormedSpace):
     a: NormedSpace
     b: NormedSpace
@@ -495,9 +475,6 @@ class Sum1(_DirectSum):
             [np.hstack([va, za]), np.hstack([zb, vb])], axis=0
         ) if len(va) or len(vb) else np.zeros((0, self.dim))
 
-    def spec(self):
-        return f"sum1({self.a.spec()},{self.b.spec()})"
-
     def describe(self):
         return {"kind": "sum1", "dim": self.dim,
                 "a": self.a.describe(), "b": self.b.describe()}
@@ -535,21 +512,9 @@ class SumInf(_DirectSum):
             return np.zeros((0, self.dim))
         return np.array([np.concatenate([x, y]) for x in va for y in vb])
 
-    def spec(self):
-        return f"suminf({self.a.spec()},{self.b.spec()})"
-
     def describe(self):
         return {"kind": "suminf", "dim": self.dim,
                 "a": self.a.describe(), "b": self.b.describe()}
-
-
-def _fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic quasi-uniform mesh of the euclidean 2-sphere."""
-    i = np.arange(n, dtype=float) + 0.5
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    z = 1.0 - 2.0 * i / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
 def sphere_chart(space: NormedSpace, angles, radius=1.0) -> np.ndarray:
@@ -567,36 +532,6 @@ def sphere_chart(space: NormedSpace, angles, radius=1.0) -> np.ndarray:
     return radius * dirs / space.norm_rows(dirs)[:, None]
 
 
-def sphere_sample_angles(space: NormedSpace, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """2-d sweep: evenly spaced angles and their chart points."""
-    if space.dim != 2:
-        raise SpaceError("angular sweep requires a 2-d space")
-    angles = np.arange(resolution) * (2.0 * math.pi / resolution)
-    return angles, sphere_chart(space, angles)
-
-
-def sphere_sample(space: NormedSpace, config: EstimatorConfig) -> np.ndarray:
-    """Deterministic unit-sphere mesh; points have norm 1 up to roundoff.
-
-    Practical limit dim <= 4: the sample count grows like
-    ``resolution ** (dim - 1)``.
-    """
-    if space.dim > _SAMPLE_DIM_LIMIT:
-        raise SpaceError(f"sphere sampling is limited to dimension {_SAMPLE_DIM_LIMIT}")
-    if space.dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if space.dim == 2:
-        return sphere_sample_angles(space, config.resolution)[1]
-    if space.dim == 3:
-        dirs = _fibonacci_sphere(config.resolution ** 2)
-    else:
-        rng = np.random.default_rng(_SEED)
-        dirs = rng.standard_normal((config.resolution ** 3, space.dim))
-        keep = np.linalg.norm(dirs, axis=1) > 1e-12
-        dirs = dirs[keep]
-    return dirs / space.norm_rows(dirs)[:, None]
-
-
 def mesh_gap(space: NormedSpace, pts: np.ndarray) -> float:
     """Largest gap of a unit-sphere mesh in the space's own norm.
 
@@ -608,7 +543,7 @@ def mesh_gap(space: NormedSpace, pts: np.ndarray) -> float:
     if space.dim == 2:
         diffs = pts - np.roll(pts, -1, axis=0)
         return float(space.norm_rows(diffs).max())
-    # a stream of its own: the 4-d sphere sample draws from default_rng(_SEED)
+    # a stream of its own: the 4-d sphere mesh draws from default_rng(_SEED)
     rng = np.random.default_rng([_SEED, 1])
     probes = rng.standard_normal((64, space.dim))
     probes /= space.norm_rows(probes)[:, None]
@@ -668,8 +603,3 @@ def parse_space(spec: str) -> NormedSpace:
             raise SpaceSpecError(f"{path} must contain a 'vertices' array")
         return Polytope(np.asarray(payload["vertices"], dtype=float))
     raise SpaceSpecError(f"unrecognized space spec {spec!r}")
-
-
-def describe_json(space: NormedSpace) -> str:
-    """Byte-stable JSON echo of a parsed space."""
-    return json.dumps(space.describe(), sort_keys=True, separators=(",", ":"))

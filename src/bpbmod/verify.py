@@ -146,8 +146,7 @@ def standard_test_spaces() -> dict[str, NormedSpace]:
 # Suites
 
 
-def sharpness_suite(resolution: int = 2000, mut_resolution: int = 512,
-                    distance_tol: float = 5e-3, phi_tol: float = 1e-2) -> list[CheckResult]:
+def sharpness_suite(resolution: int = 2000, mut_resolution: int = 512) -> list[CheckResult]:
     """Extremal pairs on the 2-d max-norm space attain min{psi, 1+mu, 1+theta}.
 
     Checks, over the (mu, theta) matrix {0.5, 0.8, 1}^2 and
@@ -174,12 +173,12 @@ def sharpness_suite(resolution: int = 2000, mut_resolution: int = 512,
                 w = distance_to_pi(space, pair, cfg_d)
                 dev = abs(w.distance - predicted)
                 results.append(CheckResult(
-                    f"witness distance {label}", dev <= distance_tol, dev,
-                    distance_tol, f"distance={w.distance:.6f} predicted={predicted:.6f}"))
+                    f"witness distance {label}", dev <= 5e-3, dev, 5e-3,
+                    f"distance={w.distance:.6f} predicted={predicted:.6f}"))
                 est = estimate_phi_mut(space, q, cfg_m)
                 dev = abs(est.value - predicted)
                 results.append(CheckResult(
-                    f"grid modulus {label}", dev <= phi_tol, dev, phi_tol,
+                    f"grid modulus {label}", dev <= 1e-2, dev, 1e-2,
                     f"estimate={est.value:.6f} predicted={predicted:.6f}"))
     return results
 
@@ -191,12 +190,11 @@ def _second_branch_value(a: float, b: float, ip: float) -> float:
     return math.sqrt(max(0.0, 1.0 - ip - 2.0 * lam * cross))
 
 
-def hilbert_suite(n_pairs: int = 200, resolution: int = 4000, oracle_tol: float = 1e-4,
-                  continuity_tol: float = 1e-9) -> list[CheckResult]:
+def hilbert_suite(resolution: int = 4000) -> list[CheckResult]:
     """Euclidean closed-form distance against the brute-force circle oracle."""
     rng = np.random.default_rng(20240811)
     worst = 0.0
-    for _ in range(n_pairs):
+    for _ in range(200):
         x = rng.standard_normal(2)
         x *= rng.uniform() ** 0.5 / np.linalg.norm(x)
         y = rng.standard_normal(2)
@@ -206,8 +204,7 @@ def hilbert_suite(n_pairs: int = 200, resolution: int = 4000, oracle_tol: float 
         closed = hilbert_distance(HilbertPair(x, y))
         brute = circle_minimax_oracle(x, y, resolution)
         worst = max(worst, abs(closed - brute))
-    results = [CheckResult(f"closed form vs circle oracle ({n_pairs} pairs)",
-                           worst <= oracle_tol, worst, oracle_tol)]
+    results = [CheckResult("closed form vs circle oracle (200 pairs)", worst <= 1e-4, worst, 1e-4)]
 
     anchors = [
         ((1.0, 0.0), (0.5, 0.0), 0.5),
@@ -224,8 +221,7 @@ def hilbert_suite(n_pairs: int = 200, resolution: int = 4000, oracle_tol: float 
             # x = y is excluded: at ip = |x||y| the points coincide
             ip = b * b + b * (a * a - b * b) / 2.0
             worst = max(worst, abs((1.0 - b) - _second_branch_value(a, b, ip)))
-    results.append(CheckResult("branch-boundary continuity", worst <= continuity_tol,
-                               worst, continuity_tol))
+    results.append(CheckResult("branch-boundary continuity", worst <= 1e-9, worst, 1e-9))
     return results
 
 
@@ -259,14 +255,14 @@ def alpha_suite(resolution: int = 400) -> list[CheckResult]:
     return results
 
 
-def nonsquare_suite(resolution: int = 400, alpha_tilde: float = 0.58) -> list[CheckResult]:
-    """Spherical modulus of the euclidean plane under the non-square bound."""
+def nonsquare_suite(resolution: int = 400) -> list[CheckResult]:
+    """Spherical modulus of the euclidean plane under the non-square bound at alpha = 0.58."""
     space = Lp(2.0, 2)
     cfg = EstimatorConfig(resolution=resolution)
     results = []
     for delta in (0.05, 0.1, 0.2, 0.3, 0.4):
         est = estimate_phi(space, delta, "sphere", cfg, refine_rounds=2)
-        bound = nonsquare_phi_bound(delta, alpha_tilde) + 1e-2
+        bound = nonsquare_phi_bound(delta, 0.58) + 1e-2
         results.append(CheckResult(f"Phi^S(l2:2, {delta}) under sharp branch",
                                    est.value <= bound, est.value, bound))
     est = estimate_phi(space, 0.45, "sphere", cfg, refine_rounds=2)

@@ -74,14 +74,12 @@ def test_criterion_01_psi_algebra():
 
 
 def test_criterion_02_linf2_sharpness():
-    results = sharpness_suite(resolution=2000, mut_resolution=512,
-                              distance_tol=5e-3, phi_tol=1e-2)
+    results = sharpness_suite(resolution=2000, mut_resolution=512)
     report(2, "max-norm plane sharpness matrix", suite_failures(results))
 
 
 def test_criterion_03_hilbert_closed_form():
-    results = hilbert_suite(n_pairs=200, resolution=4000, oracle_tol=1e-4,
-                            continuity_tol=1e-9)
+    results = hilbert_suite(resolution=4000)
     report(3, "euclidean distance formula vs circle oracle", suite_failures(results))
 
 
@@ -134,7 +132,7 @@ def test_criterion_06_nonsquareness():
 
 
 def test_criterion_07_nonsquare_modulus_bound():
-    results = nonsquare_suite(resolution=400, alpha_tilde=0.58)
+    results = nonsquare_suite(resolution=400)
     report(7, "non-square spherical modulus bound", suite_failures(results))
 
 

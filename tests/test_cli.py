@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from bpbmod.cli import main
 
 
 GOLDEN = Path(__file__).with_name("golden")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -210,35 +212,15 @@ def test_byte_identical_json(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-# the README's CLI examples, other than verify, with their recorded stdout
-README_EXAMPLES = {
-    "psi": "psi --mu 1 --theta 1 --delta 0.1:0.5:0.1",
-    "distance": "distance --space l2:2 --x 1,0 --f 0,1",
-    "modulus_sphere": "modulus --space linf:2 --mode sphere --delta 0.5",
-    "modulus_mut": "modulus --space sum1(r:1,r:1) --mode mut --mu 0.9 --theta 0.9 --delta 0.4",
-    "alpha": "alpha --space l2:2 --self-dual",
-    "convexity": "convexity --space l2:2 --eps 0.5:2.0:0.5",
-    "corrector": "corrector --space l2:2 --x 1,0 --f 1,0 --delta 0.1 --alpha-tilde 0.58",
-    "witness": "witness --family linf2 --mu 1 --theta 1 --delta 0.5",
-}
-
-
-# commands whose outputs pin paths the README examples do not reach: the
-# ball-mode and lp alpha zooms, a distance whose sweep profile has two
-# basins, a distance that the dual-face stage sets (0.0065, where the sample
-# alone gives 0.0191), the corrector's sweep zoom, and the two seeded draws,
-# the 3-d mesh_gap probes (alpha's mesh_error) and the 4-d Gaussian sample
-REFINEMENT_EXAMPLES = {
-    "modulus_ball": "modulus --space linf:2 --mode ball --delta 0.5 --resolution 160",
-    "alpha_lp": "alpha --space lp:2:p=1.5 --resolution 160",
-    "distance_lp": "distance --space lp:2:p=1.5 --x 1,0.3 --f 0.2,1",
-    "distance_l1": "distance --space l1:2 --x 0.9935,0 --f 0.9938,0.3391",
-    "corrector_lp": "corrector --space lp:2:p=1.5 --x 0.7651485317423954,0.47821783233899706"
-                    " --f 0.9879506340125244,0.32931687800417475 --delta 0.1 --k 0.0003"
-                    " --alpha-tilde 0.58",
-    "alpha_l2_3": "alpha --space l2:3 --resolution 20",
-    "modulus_l2_4": "modulus --space l2:4 --mode sphere --delta 0.2 --resolution 8",
-}
+# (name, arguments) of each command of golden/argv
+ARGV = [line.split(" ", 1) for line in (GOLDEN / "argv").read_text().splitlines()
+        if line and not line.startswith("#")]
+# the README's CLI examples, as the shell passes their arguments
+_README_ARGS = {" ".join(shlex.split(line)[1:]) for line in README.read_text().splitlines()
+           if line.startswith("bpbmod ")}
+README_EXAMPLES = {name: args for name, args in ARGV if name != "usage" and args in _README_ARGS}
+REFINEMENT_EXAMPLES = {name: args for name, args in ARGV
+                       if name != "usage" and args not in _README_ARGS}
 
 
 def _assert_golden(name, argv, capsys):
@@ -257,27 +239,7 @@ def test_refinement_examples_match_golden(name, capsys):
     _assert_golden(name, REFINEMENT_EXAMPLES[name], capsys)
 
 
-@pytest.mark.parametrize("argv", [
-    "modulus --space l2:2 --mode sphere --delta 0.5 --resolution 4",
-    "modulus --space l2:2 --mode sphere --delta 0.5 --threads 0",
-    "distance --space lp:2:p=0.5 --x 1,0 --f 1,0",
-    "distance --space l2:2 --x 1,0,0 --f 1,0",
-    "distance --space l2:2 --x nan,0 --f 1,0",
-    "alpha --space l2:5",
-    "corrector --space l2:2 --x 1,0 --f 0,1 --delta 0.1 --alpha-tilde 0.58",
-    "verify --suite hilbert --resolution 0",
-    "verify --suite hilbert --resolution 3",
-    "psi --mu 1 --theta 1 --delta 0.5:0.1:0.1",
-    # 10,001 values, one past the cap
-    "psi --mu 1 --theta 1 --delta 0:1:0.0001",
-    # options a command does not read are not accepted
-    "psi --mu 1 --theta 1 --delta 0.5 --resolution 3",
-    "witness --family linf2 --mu 1 --theta 1 --delta 0.5 --format csv",
-    "distance --space l2:2 --x 1,0 --f 0,1 --format csv",
-    "corrector --space l2:2 --x 1.3,0 --f 1,0 --delta 0.1 --alpha-tilde 0.58 --tol 0.5",
-    "modulus --space l2:2 --mode sphere --delta 0.5 --threads 2",
-    "modulus --space l2:2 --mode sphere --delta 0.5 --seed 7",
-])
+@pytest.mark.parametrize("argv", [args for name, args in ARGV if name == "usage"])
 def test_malformed_input_exits_2(argv, capsys):
     assert exit_code(argv.split()) == 2
     err = capsys.readouterr().err

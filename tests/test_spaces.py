@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bpbmod import (DimensionMismatchError, EstimatorConfig, Lp, Polytope,
-                    SpaceError, SpaceSpecError, Sum1, SumInf, describe_json,
-                    parse_space, sphere_sample)
-from bpbmod import spaces
+                    SpaceError, SpaceSpecError, Sum1, SumInf, parse_space)
+from bpbmod import pi_set, spaces
 from bpbmod.spaces import sphere_chart
 from bpbmod.verify import polytope_gauge_lp_oracle
 
@@ -417,11 +416,15 @@ def test_bidual_gives_back_the_norm(key, data):
 
 
 # ---------------------------------------------------------------------------
-# sphere sampling
+# unit-sphere meshes
+
+
+def sphere_points(space, resolution):
+    return pi_set._sphere_mesh(space, EstimatorConfig(resolution=resolution)).points
 
 
 def test_sphere_sample_l2_axes(l2):
-    pts = sphere_sample(l2, EstimatorConfig(resolution=8))
+    pts = sphere_points(l2, 8)
     assert len(pts) == 8
     np.testing.assert_allclose(pts[0], [1.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(l2.norm_rows(pts), 1.0, atol=1e-12)
@@ -429,20 +432,20 @@ def test_sphere_sample_l2_axes(l2):
 
 def test_sphere_sample_angular_gap(linf):
     res = 400
-    pts = sphere_sample(linf, EstimatorConfig(resolution=res))
+    pts = sphere_points(linf, res)
     angles = np.arctan2(pts[:, 1], pts[:, 0])
     gaps = np.diff(np.sort(angles))
     assert gaps.max() <= 2.0 * math.pi / res + 1e-9
 
 
 def test_sphere_sample_sum1(sum1_rr):
-    pts = sphere_sample(sum1_rr, EstimatorConfig(resolution=100))
+    pts = sphere_points(sum1_rr, 100)
     np.testing.assert_allclose(np.abs(pts).sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_sphere_sample_dim3_membership():
     space = Lp(2.0, 3)
-    pts = sphere_sample(space, EstimatorConfig(resolution=16))
+    pts = sphere_points(space, 16)
     assert len(pts) == 256
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
@@ -450,7 +453,7 @@ def test_sphere_sample_dim3_membership():
 def test_sphere_sample_dim4_seeded():
     # the normalised draw of default_rng(1729), the one seed of the package
     space = Lp(1.0, 4)
-    a = sphere_sample(space, EstimatorConfig(resolution=8))
+    a = sphere_points(space, 8)
     dirs = np.random.default_rng(1729).standard_normal((8 ** 3, 4))
     np.testing.assert_array_equal(a, dirs / space.norm_rows(dirs)[:, None])
     np.testing.assert_allclose(np.abs(a).sum(axis=1), 1.0, atol=1e-12)
@@ -458,7 +461,7 @@ def test_sphere_sample_dim4_seeded():
 
 def test_sphere_sample_dim_limit():
     with pytest.raises(SpaceError):
-        sphere_sample(Lp(2.0, 5), EstimatorConfig(resolution=8))
+        sphere_points(Lp(2.0, 5), 8)
 
 
 def test_config_validation():
@@ -502,8 +505,6 @@ def test_parse_errors(bad):
         parse_space(bad)
 
 
-def test_describe_json_is_byte_stable():
-    a = describe_json(parse_space("sum1(linf:2,lp:2:p=1.5)"))
-    b = describe_json(parse_space("sum1(linf:2,lp:2:p=1.5)"))
-    assert a == b
-    assert json.loads(a)["kind"] == "sum1"
+def test_repr_names_the_fields():
+    assert repr(parse_space("linf:3")) == "Lp(p=inf, dim=3)"
+    assert repr(parse_space("sum1(r:1,l2:2)")) == "Sum1(a=Lp(p=2.0, dim=1), b=Lp(p=2.0, dim=2))"
