@@ -32,7 +32,7 @@ from .moduli import (CorrectorSearchError, bpb_corrector, check_alpha_self_dual,
                      estimate_phi_mut)
 from .pi_set import EmptyConstraintError, SweepTooLargeError, distance_to_pi, pair_state
 from .spaces import EstimatorConfig, Lp, NormedSpace, Sum1, SumInf, parse_space
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .witnesses import linf2_witness, real_witness, sum1_witness, suminf_witness
 
 SCHEMA = "bpb/1"
@@ -454,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=("sharpness", "hilbert", "alpha",
-                                       "nonsquare", "all"), required=True)
+    p.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -147,15 +147,6 @@ def is_in_pi(p: PairState) -> bool:
 
 
 @dataclass(frozen=True)
-class _FaceSegment:
-    """A ball vertex with the endpoints of its dual face segment."""
-
-    vertex: np.ndarray
-    g_lo: np.ndarray
-    g_hi: np.ndarray
-
-
-@dataclass(frozen=True)
 class Mesh:
     """Rows meshing a sphere or a ball, with their 2-d chart coordinates and gap."""
 
@@ -173,31 +164,28 @@ class PiSample:
     points: np.ndarray       # (N, d); the first len(sweep.points) rows are the sweep
     functionals: np.ndarray  # (N, d)
     sweep: Mesh              # the unit-sphere mesh of the space
-    faces: tuple[_FaceSegment, ...]
+    face_y: np.ndarray       # (F, d); the 2-d ball vertices with a dual face segment
+    face_g: np.ndarray       # (2, F, d); the end functionals of each vertex's segment
     gap: float               # covering estimate in the max metric
 
 
-def _perp(v: np.ndarray) -> np.ndarray:
-    return np.array([-v[1], v[0]])
+def _face_segments(space: NormedSpace, dual: NormedSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Dual-face segments at the non-smooth ball vertices (2-d only).
 
-
-def _face_segments(space: NormedSpace, dual: NormedSpace) -> list[_FaceSegment]:
-    """Dual-face endpoints at each non-smooth ball vertex (2-d only).
-
-    Endpoints are the supporting functionals of boundary points slightly to
-    either side of the vertex; for polytopal balls these are exactly the two
-    adjacent facet functionals.
+    Returns the unit vertices y, (F, d), and the segment ends g, (2, F, d):
+    the supporting functionals of boundary points slightly to either side
+    of each vertex; for polytopal balls these are exactly the two adjacent
+    facet functionals.  Vertices whose ends coincide are dropped.
     """
-    segments = []
-    eps = 1e-7
-    for v in space.ball_vertices():
-        v = v / space.norm(v)
-        t = _perp(v)
-        g_lo = space.support(space.unit(v - eps * t))
-        g_hi = space.support(space.unit(v + eps * t))
-        if dual.norm(g_hi - g_lo) > 1e-9:
-            segments.append(_FaceSegment(v, g_lo, g_hi))
-    return segments
+    v = space.ball_vertices() if space.dim == 2 else np.zeros((0, space.dim))
+    if len(v) == 0:
+        return v, np.zeros((2, 0, space.dim))
+    y = v / space.norm_rows(v)[:, None]
+    t = 1e-7 * np.column_stack([-y[:, 1], y[:, 0]])
+    side = np.concatenate([y - t, y + t])
+    g = space.support_rows(side / space.norm_rows(side)[:, None]).reshape(2, len(y), 2)
+    keep = dual.norm_rows(g[1] - g[0]) > 1e-9
+    return y[keep], g[:, keep]
 
 
 def build_pi_sample(space: NormedSpace, config: EstimatorConfig) -> PiSample:
@@ -206,20 +194,19 @@ def build_pi_sample(space: NormedSpace, config: EstimatorConfig) -> PiSample:
     sweep = _sphere_mesh(space, config)
     pts, funcs = sweep.points, space.support_rows(sweep.points)
 
-    faces = _face_segments(space, dual) if space.dim == 2 else []
-    if faces:
+    face_y, face_g = _face_segments(space, dual)
+    gap = sweep.gap
+    if len(face_y):
         m = max(17, config.resolution // 8)
         m += (m + 1) % 2  # odd, so the barycentric center is on the mesh
         ts = np.linspace(0.0, 1.0, m)[:, None]
-        g = np.concatenate([(1.0 - ts) * seg.g_lo + ts * seg.g_hi for seg in faces])
+        g = ((1.0 - ts) * face_g[0][:, None] + ts * face_g[1][:, None]).reshape(-1, space.dim)
         nd = dual.norm_rows(g)[:, None]
-        pts = np.concatenate([pts, np.repeat([seg.vertex for seg in faces], m, axis=0)])
+        pts = np.concatenate([pts, np.repeat(face_y, m, axis=0)])
         funcs = np.concatenate([funcs, np.where(np.abs(nd - 1.0) > 1e-12, g / nd, g)])
-
-    face_step = 0.0
-    for seg in faces:
-        face_step = max(face_step, dual.norm(seg.g_hi - seg.g_lo) / max(1, config.resolution // 8))
-    return PiSample(dual, pts, funcs, sweep, tuple(faces), max(sweep.gap, face_step))
+        face_step = dual.norm_rows(face_g[1] - face_g[0]) / max(1, config.resolution // 8)
+        gap = max(gap, float(face_step.max()))
+    return PiSample(dual, pts, funcs, sweep, face_y, face_g, gap)
 
 
 @lru_cache(maxsize=32)
@@ -391,18 +378,17 @@ def _distance_core(space: NormedSpace, x, f, in_pi, pi: PiSample, level: int = 2
         if inside and best[q] > 0.0:
             best[q], ys[q], gs[q] = 0.0, x[q], f[q]
 
-    if level >= 1 and pi.faces and best.any():  # scores are >= 0: some row is above 0
+    if level >= 1 and len(pi.face_y) and best.any():  # scores are >= 0: some row is above 0
         # convex 1-d minimization over each dual-face segment; the score is
         # nondecreasing in the functional gap, so minimizing that gap suffices.
         # One golden lane per (row, face) that passes the face's skip test
         # score(cx, 0) < best now; the faces then apply in order where their
         # value beats the running best, as a face-by-face loop would: that
         # value is at least score(cx, 0), so it passes the skip test too
-        verts = np.array([seg.vertex for seg in pi.faces])
-        cx = space.norm_rows((x[:, None, :] - verts).reshape(-1, dim)).reshape(nq, -1)
+        cx = space.norm_rows((x[:, None, :] - pi.face_y).reshape(-1, dim)).reshape(nq, -1)
         lq, ls = np.nonzero(score(cx, 0.0) < best[:, None])
         if lq.size:
-            lo, hi = np.array([(seg.g_lo, seg.g_hi) for seg in pi.faces])[ls].transpose(1, 0, 2)
+            lo, hi = pi.face_g[:, ls]
             fl = f[lq]
 
             def gap(t):
@@ -416,7 +402,7 @@ def _distance_core(space: NormedSpace, x, f, in_pi, pi: PiSample, level: int = 2
             for r in np.argsort(ls, kind="stable"):
                 q, s = lq[r], ls[r]
                 if v[r] < best[q]:
-                    best[q], ys[q], gs[q] = v[r], verts[s], g[r]
+                    best[q], ys[q], gs[q] = v[r], pi.face_y[s], g[r]
     if level >= 1 and isinstance(space, Lp) and space.p == 2.0 and space.dim >= 2:
         # exact euclidean candidates: closed forms, row by row
         for q in np.flatnonzero(best > 0.0):
@@ -740,7 +726,7 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 def _sphere_mesh(space: NormedSpace, config: EstimatorConfig) -> Mesh:
     """The unit-sphere mesh of one (space, config), built once with its gap.
 
-    With r the resolution: in dim 1 the points +-1; in dim 2, r evenly
+    With r the resolution: in dim 1 the directions +-1; in dim 2, r evenly
     spaced angles through ``sphere_chart``; in dim 3, the r**2 directions
     of ``_fibonacci_sphere``; in dim 4, r**3 Gaussian directions drawn from
     ``default_rng(_SEED)``, without zero rows.  Directions are scaled onto
@@ -758,14 +744,14 @@ def _sphere_mesh(space: NormedSpace, config: EstimatorConfig) -> Mesh:
             f"the unit-sphere mesh needs {need / 2**30:.2f} GiB "
             f"(ceiling {_MESH_BYTES_MAX / 2**30:.2f} GiB); lower --resolution")
     angles = None
-    if dim == 1:
-        pts = np.array([[1.0], [-1.0]])
-    elif dim == 2:
+    if dim == 2:
         angles = np.arange(res) * (2.0 * math.pi / res)
         angles.setflags(write=False)
         pts = sphere_chart(space, angles)
     else:
-        if dim == 3:
+        if dim == 1:
+            dirs = np.array([[1.0], [-1.0]])
+        elif dim == 3:
             dirs = _fibonacci_sphere(res ** 2)
         else:
             dirs = np.random.default_rng(_SEED).standard_normal((res ** 3, dim))

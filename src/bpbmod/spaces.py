@@ -1,10 +1,10 @@
 """Finite-dimensional real normed spaces as exact norm oracles.
 
-Every space exposes the primal norm, the dual norm, supporting functionals
-and a constructible dual space; the 2-d angular chart and the gap of a
-unit-sphere mesh are here too, and ``pi_set`` draws the meshes.  All
-instances are immutable after construction and every operation is a pure
-function, so concurrent use needs no coordination.
+Every space exposes the primal norm, supporting functionals and a
+constructible dual space, whose norm is the dual norm; the 2-d angular chart
+and the gap of a unit-sphere mesh are here too, and ``pi_set`` draws the
+meshes.  All instances are immutable after construction and every operation
+is a pure function, so concurrent use needs no coordination.
 
 Functionals are represented by coordinate vectors acting through the dot
 product.  Supported space kinds:
@@ -104,12 +104,12 @@ class EstimatorConfig:
 class NormedSpace:
     """Base class for norm oracles.
 
-    A space kind is defined by its row kernels ``norm_rows``,
-    ``dual_norm_rows`` and ``support_rows``; the scalar operations below
-    validate one vector and evaluate the kernel on it as a single row.  A
-    long batch reduces its few coordinates, facets and vertices one column
-    at a time, bitwise as one reduction would, so each row still depends on
-    itself only.
+    A space kind is defined by its row kernels ``norm_rows`` and
+    ``support_rows`` and by its dual space ``dual()``, the one route to the
+    dual norm; the scalar operations below validate one vector and evaluate
+    a kernel on it as a single row.  A long batch reduces its few
+    coordinates and facets one column at a time, bitwise as one reduction
+    would, so each row still depends on itself only.
     """
 
     dim: int
@@ -121,8 +121,7 @@ class NormedSpace:
         return float(self.norm_rows(v[None, :])[0])
 
     def dual_norm(self, f) -> float:
-        f = as_vector(f, self.dim)
-        return float(self.dual_norm_rows(f[None, :])[0])
+        return self.dual().norm(f)
 
     def support(self, v) -> np.ndarray:
         """A norm-one functional attaining the norm at v.
@@ -147,9 +146,6 @@ class NormedSpace:
     # -- kind-specific kernels ---------------------------------------------
 
     def norm_rows(self, rows: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dual_norm_rows(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def support_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -224,9 +220,6 @@ class Lp(NormedSpace):
         safe = np.where(m > 0.0, m, 1.0)
         s = _reduce_rows(np.add, (a / safe[:, None]) ** self.p)
         return m * s ** (1.0 / self.p)
-
-    def dual_norm_rows(self, rows):
-        return Lp(_conjugate_exponent(self.p), self.dim).norm_rows(rows)
 
     def support_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
@@ -314,11 +307,6 @@ class Polytope(NormedSpace):
         normals, offsets = self._facets
         return np.maximum(_max_row_products(rows, normals, offsets), 0.0)
 
-    def dual_norm_rows(self, rows):
-        rows = np.asarray(rows, dtype=float)
-        # sup over the ball equals the max over the vertex list
-        return _max_row_products(rows, self.vertices)
-
     def support_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
         normals, offsets = self._facets
@@ -390,7 +378,7 @@ def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_row_products(rows: np.ndarray, mat: np.ndarray, scale=None) -> np.ndarray:
+def _max_row_products(rows: np.ndarray, mat: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """``(_row_products(rows, mat) / scale).max(axis=1)``, bitwise.
 
     Long batches against fewer than 8 rows of ``mat`` take a running maximum
@@ -398,8 +386,7 @@ def _max_row_products(rows: np.ndarray, mat: np.ndarray, scale=None) -> np.ndarr
     and never form the ``(n, len(mat))`` matrix.
     """
     if not _loops(len(rows), len(mat)):
-        prod = _row_products(rows, mat)
-        return (prod if scale is None else prod / scale).max(axis=1)
+        return (_row_products(rows, mat) / scale).max(axis=1)
     out = np.empty(len(rows))
     col, term = np.empty_like(out), np.empty_like(out)
     for k, m in enumerate(mat):
@@ -408,8 +395,7 @@ def _max_row_products(rows: np.ndarray, mat: np.ndarray, scale=None) -> np.ndarr
         for j in range(1, len(m)):
             np.multiply(rows[:, j], m[j], out=term)
             dest += term
-        if scale is not None:
-            dest /= scale[k]
+        dest /= scale[k]
         if k:
             np.maximum(out, col, out=out)
     return out
@@ -452,12 +438,6 @@ class Sum1(_DirectSum):
         da = self.a.dim
         return self.a.norm_rows(rows[:, :da]) + self.b.norm_rows(rows[:, da:])
 
-    def dual_norm_rows(self, rows):
-        rows = np.asarray(rows, dtype=float)
-        da = self.a.dim
-        return np.maximum(self.a.dual_norm_rows(rows[:, :da]),
-                          self.b.dual_norm_rows(rows[:, da:]))
-
     @staticmethod
     def _weights(na, nb):
         # every nonzero component attains its own norm
@@ -488,11 +468,6 @@ class SumInf(_DirectSum):
         da = self.a.dim
         return np.maximum(self.a.norm_rows(rows[:, :da]),
                           self.b.norm_rows(rows[:, da:]))
-
-    def dual_norm_rows(self, rows):
-        rows = np.asarray(rows, dtype=float)
-        da = self.a.dim
-        return self.a.dual_norm_rows(rows[:, :da]) + self.b.dual_norm_rows(rows[:, da:])
 
     @staticmethod
     def _weights(na, nb):

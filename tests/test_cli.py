@@ -183,6 +183,17 @@ def test_poly_space_from_file(tmp_path, capsys):
     assert json.loads(out)["witness"]["distance"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_one_dimensional_poly_space_from_file(tmp_path, capsys):
+    path = tmp_path / "segment.json"
+    path.write_text(json.dumps({"vertices": [[2], [-2]]}))
+    code, out = run(capsys, "distance", "--space", f"poly:@{path}", "--x", "1.9",
+                    "--f", "0.5", "--resolution", "64")
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert witness["distance"] == pytest.approx(0.05, abs=1e-12)
+    assert (witness["y"], witness["g"]) == ([2.0], [0.5])
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["distance", "--space", "bogus", "--x", "1", "--f", "1"]) == 2
 

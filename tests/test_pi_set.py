@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bpbmod import (EstimatorConfig, HilbertPair, distance_to_pi,
+from bpbmod import (EstimatorConfig, HilbertPair, Polytope, distance_to_pi,
                     hausdorff_modulus_set, hilbert_distance, is_in_pi,
                     pair_state, parse_space, sample_pi)
 import bpbmod
@@ -159,6 +159,15 @@ def test_distance_real_line(r1, cfg):
     assert w.distance == pytest.approx(0.5, abs=1e-15)
     w = distance_to_pi(r1, pair_state(r1, [0.3], [-0.2]), cfg)
     assert w.distance == pytest.approx(1.2, abs=1e-15)
+
+
+def test_distance_on_a_one_dimensional_polytope():
+    # the 1-d mesh is scaled onto the unit sphere of the norm, here +-2
+    space = Polytope(np.array([[2.0], [-2.0]]))
+    w = distance_to_pi(space, pair_state(space, [1.9], [0.5]), EstimatorConfig(resolution=64))
+    assert w.distance == pytest.approx(0.05, abs=1e-12)
+    assert w.y.tolist() == [2.0] and w.g.tolist() == [0.5]
+    assert is_in_pi(pair_state(space, w.y, w.g))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +340,7 @@ def test_pi_sample_gap_positive(hexagon):
     pi = build_pi_sample(hexagon, EstimatorConfig(resolution=64))
     assert pi.gap > 0
     assert len(pi.sweep.points) == 64
-    assert len(pi.faces) == 6
+    assert len(pi.face_y) == 6
 
 
 def test_sphere_mesh_is_built_once_and_read_only(l2, hexagon):
