@@ -39,6 +39,8 @@ __all__ = [
 # Sphere points of the alpha and convexity sweeps above dimension 2:
 # resolution 64 in 3-d, 16 in 4-d.
 _ALPHA_POINTS_MAX = 4096
+# Interior pairs that audit_alpha_interior draws.
+_AUDIT_PAIRS = 512
 
 
 @dataclass(frozen=True)
@@ -171,14 +173,14 @@ def estimate_alpha(space: NormedSpace,
     return AlphaReport(alpha=2.0 - best, maximizer=(bx, by), mesh_error=mesh.gap)
 
 
-def audit_alpha_interior(space: NormedSpace, trials: int = 512) -> float:
+def audit_alpha_interior(space: NormedSpace) -> float:
     """Worst interior-pair objective; callers assert it stays below the sphere max."""
     rng = np.random.default_rng(_SEED)
-    dirs = rng.standard_normal((2 * trials, space.dim))
+    dirs = rng.standard_normal((2 * _AUDIT_PAIRS, space.dim))
     dirs /= space.norm_rows(dirs)[:, None]
-    radii = rng.uniform(0.0, 1.0, size=2 * trials)
+    radii = rng.uniform(0.0, 1.0, size=2 * _AUDIT_PAIRS)
     pts = dirs * radii[:, None]
-    x, y = pts[:trials], pts[trials:]
+    x, y = pts[:_AUDIT_PAIRS], pts[_AUDIT_PAIRS:]
     obj = (space.norm_rows(x + y) + space.norm_rows(x - y)) / 2.0
     return float(obj.max())
 

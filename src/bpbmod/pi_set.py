@@ -13,11 +13,12 @@ moduli.
 
 One search, ``_distance_core``, serves a batch of query pairs: each stage
 but the euclidean closed forms is a few array calls over all pairs, and each
-pair gets bitwise its own result.  2-d refinement runs through ``sphere_chart``
-with ``support_rows``; ``_zoom`` and ``_golden_min`` run one lane per grid or
-bracket.  A distance zooms into up to three basins of the cyclic sweep
-profile (the best sample and the two lowest other local minima), then
-polishes by golden section; a modulus zooms its best pairs in lock-step.
+pair gets bitwise its own result.  Every refinement is a ``_zoom``, which
+scores the grids of many lanes in one call; 2-d sweep points come from
+``sphere_chart`` and their functionals from ``support_rows``.  A distance
+zooms along each dual-face segment and into up to three basins of the cyclic
+sweep profile (the best sample and the two lowest other local minima); a
+modulus zooms its best pairs in lock-step.
 
 A grid supremum needs only the ``_TOP_K`` best rows of its mesh sweep, and
 ``_scan_pairs`` finds them best first over fixed-size tiles of x rows.  A
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import GeneratorType
 
 import numpy as np
 
@@ -65,7 +65,6 @@ __all__ = [
     "hausdorff_modulus_set",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Float64 values in one scratch tile of the streamed pair sweeps (1 MiB).
 _TILE_ELEMS = 1 << 17
 # Ceiling on the distance rows of a pair sweep, the one array it keeps
@@ -81,6 +80,9 @@ _TOP_K = 4
 # Every _ANCHOR_STEP-th marked row and column of a pair sweep is an anchor
 # of its distance bounds.
 _ANCHOR_STEP = 8
+# Rounds of each 1-d zoom of a distance search, 13 points a round and each
+# round a sixth as wide: the last grid step is 6**-17 of the first half-width.
+_ZOOM_ROUNDS = 17
 
 
 class EmptyConstraintError(ValueError):
@@ -224,42 +226,11 @@ def sample_pi(space: NormedSpace, config: EstimatorConfig) -> list[tuple[np.ndar
 # Distance of a pair to Pi(X)
 
 
-def _golden_lane(a: float, b: float, iters: int):
-    """Golden section on [a, b]: yields each point and receives its value, then yields (t, min)."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = yield c
-    fd = yield d
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = yield d
-    yield (c, fc) if fc <= fd else (d, fd)
-
-
-def _golden_min(fn, lo, hi, iters: int = 60):
-    """Golden-section minima of unimodal functions, one lane per bracket [lo[i], hi[i]].
-
-    ``lo`` and ``hi`` are lists of floats.  Each lane is a ``_golden_lane``
-    in Python floats; every step makes one ``fn`` call on the array of all
-    lanes' next points.  Returns the lanes' minimizers and values.
-    """
-    lanes = [_golden_lane(a, b, iters) for a, b in zip(lo, hi)]
-    pts = [next(lane) for lane in lanes]
-    for _ in range(iters + 2):
-        pts = list(map(GeneratorType.send, lanes, fn(np.array(pts)).tolist()))
-    return tuple(zip(*pts))
-
-
 def _zoom(score, center, halfwidth, best, *, rounds: int, npts: int, shrink: float):
-    """Shrinking product-grid minimizers over one or two angles; robust to kinks.
+    """Shrinking product-grid minimizers over k coordinates; robust to kinks.
 
-    One lane per row of ``center`` (L, k), with incumbent values ``best``.
+    The coordinates are chart angles or a face parameter.  One lane per row
+    of ``center`` (L, k), with incumbent values ``best``.
     Each round scores the ``npts``-per-axis grid around every lane's center
     with one ``score(*axes)`` call on the flattened grids, lane after lane.
     A lane moves to its lowest value only if that strictly beats its
@@ -365,10 +336,13 @@ def _distance_core(space: NormedSpace, x, f, in_pi, pi: PiSample, level: int = 2
     batch, so each row's result is bitwise the one it gets alone.
 
     level 0: discrete minimum over the sample.
-    level 1: + dual-face segments and euclidean closed-form candidates.
-    level 2: + golden/zoom refinement along the sphere sweep.
+    level 1: + a zoom along each dual-face segment, and euclidean
+             closed-form candidates.
+    level 2: + a zoom into up to three basins of the sphere sweep.
     """
     dual = pi.dual
+    npts = 13
+    shrink = 2.0 / (npts - 1)
     nq, dim = x.shape
     vals = score(space.norm_rows((x[:, None, :] - pi.points).reshape(-1, dim)),
                  dual.norm_rows((f[:, None, :] - pi.functionals).reshape(-1, dim))).reshape(nq, -1)
@@ -381,24 +355,27 @@ def _distance_core(space: NormedSpace, x, f, in_pi, pi: PiSample, level: int = 2
     if level >= 1 and len(pi.face_y) and best.any():  # scores are >= 0: some row is above 0
         # convex 1-d minimization over each dual-face segment; the score is
         # nondecreasing in the functional gap, so minimizing that gap suffices.
-        # One golden lane per (row, face) that passes the face's skip test
-        # score(cx, 0) < best now; the faces then apply in order where their
-        # value beats the running best, as a face-by-face loop would: that
-        # value is at least score(cx, 0), so it passes the skip test too
+        # One zoom lane over the segment parameter t in [0, 1] per (row, face)
+        # that passes the face's skip test score(cx, 0) < best now; the faces
+        # then apply in order where their value beats the running best, as a
+        # face-by-face loop would: that value is at least score(cx, 0), so it
+        # passes the skip test too
         cx = space.norm_rows((x[:, None, :] - pi.face_y).reshape(-1, dim)).reshape(nq, -1)
         lq, ls = np.nonzero(score(cx, 0.0) < best[:, None])
         if lq.size:
             lo, hi = pi.face_g[:, ls]
-            fl = f[lq]
+            fl, lg, hg = (np.repeat(a, npts, axis=0) for a in (f[lq], lo, hi))
 
             def gap(t):
-                return dual.norm_rows(fl - ((1.0 - t)[:, None] * lo + t[:, None] * hi))
+                t = np.clip(t, 0.0, 1.0)[:, None]  # grids overhang the segment's ends
+                return dual.norm_rows(fl - ((1.0 - t) * lg + t * hg))
 
-            ts, qs = _golden_min(gap, [0.0] * lq.size, [1.0] * lq.size, iters=40)
-            t = np.array(ts)
-            g = (1.0 - t)[:, None] * lo + t[:, None] * hi
+            t, qs = _zoom(gap, np.full((lq.size, 1), 0.5), 0.5, np.full(lq.size, np.inf),
+                          rounds=_ZOOM_ROUNDS, npts=npts, shrink=shrink)
+            t = np.clip(t, 0.0, 1.0)
+            g = (1.0 - t) * lo + t * hi
             g = g / dual.norm_rows(g)[:, None]
-            v = score(cx[lq, ls], np.array(qs))
+            v = score(cx[lq, ls], qs)
             for r in np.argsort(ls, kind="stable"):
                 q, s = lq[r], ls[r]
                 if v[r] < best[q]:
@@ -419,36 +396,25 @@ def _distance_core(space: NormedSpace, x, f, in_pi, pi: PiSample, level: int = 2
         # local minima of its cyclic sweep profile
         profile = vals[live, :n]
         minima = (profile < np.roll(profile, 1, axis=1)) & (profile <= np.roll(profile, -1, axis=1))
-        lanes, first = [], [0]
+        lanes = []
         for r, q in enumerate(live):
             i_sweep = int(np.argmin(profile[r]))
             m = np.flatnonzero(minima[r])
             m = m[np.argsort(profile[r, m], kind="stable")]
             lanes += [(q, i) for i in [i_sweep] + [int(i) for i in m if i != i_sweep][:2]]
-            first.append(len(lanes))
         lq, basin = np.array(lanes).T
         phi0 = pi.sweep.angles[basin]
-        rounds, npts = 4, 13
         xg, fg = np.repeat(x[lq], npts, axis=0), np.repeat(f[lq], npts, axis=0)
         start = score(*_sweep_gaps(space, dual, x[lq], f[lq], phi0))
         zoomed, zv = _zoom(lambda phi: score(*_sweep_gaps(space, dual, xg, fg, phi)),
-                           phi0[:, None], step, start, rounds=rounds, npts=npts,
-                           shrink=2.0 / (npts - 1))
-        # polish each row's best-sample basin, and its best zoomed one if that is another
-        pl = []
-        for a, b in zip(first, first[1:]):
-            k = a + int(np.argmin(zv[a:b]))
-            pl += [a] + [k] * (k > a)
-        pq = lq[pl]
-        xp, fp = x[pq], f[pq]
-        c, w = zoomed[pl, 0], step * (2.0 / (npts - 1)) ** rounds
-        ts, vs = _golden_min(lambda t: score(*_sweep_gaps(space, dual, xp, fp, t)),
-                             (c - 2.0 * w).tolist(), (c + 2.0 * w).tolist(), iters=50)
-        y = sphere_chart(space, ts)
+                           phi0[:, None], step, start, rounds=_ZOOM_ROUNDS, npts=npts,
+                           shrink=shrink)
+        # each lane in order, wherever it is strictly lower
+        y = sphere_chart(space, zoomed[:, 0])
         g = space.support_rows(y)
-        for r, q in enumerate(pq):
-            if vs[r] < best[q]:
-                best[q], ys[q], gs[q] = vs[r], y[r], g[r]
+        for r, q in enumerate(lq):
+            if zv[r] < best[q]:
+                best[q], ys[q], gs[q] = zv[r], y[r], g[r]
 
     return best, ys, gs
 

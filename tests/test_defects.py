@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bpbmod import EstimatorConfig, hausdorff_modulus_set, parse_space
+from bpbmod import EstimatorConfig, distance_to_pi, hausdorff_modulus_set, pair_state, parse_space
 from bpbmod import pi_set
 
 
@@ -69,6 +69,18 @@ def test_defect_8_dual_brackets_meet():
     a = _bracket("lp:2:p=1.1", 0.1, 128)
     b = _bracket("lp:2:p=11", 0.1, 128)
     assert _meet(a, b), (a, b)
+
+
+@pytest.mark.xfail(strict=True, reason="defect 11: the 1e-9 Pi tolerance breaks 1-Lipschitz")
+def test_defect_11_distance_is_1_lipschitz_across_the_pi_tolerance():
+    # two unit pairs of l2:2 whose functionals are 1e-6 apart: the first has
+    # action 1 - 9.7e-10, so it counts as in Pi and gets distance 0; the
+    # second, at 1 - 1.01e-9, gets its true distance 2.25e-5
+    space = parse_space("l2:2")
+    x = np.array([1.0, 0.0])
+    f = [np.array([math.cos(t), math.sin(t)]) for t in (4.4e-5, 4.5e-5)]
+    d = [distance_to_pi(space, pair_state(space, x, g)).distance for g in f]
+    assert abs(d[1] - d[0]) <= space.dual_norm(f[1] - f[0]) + 1e-9, d
 
 
 @pytest.mark.parametrize("spec", ["linf:2", "l1:2"])

@@ -215,47 +215,33 @@ def test_distance_core_batch_matches_one_row_calls(name, seed, n, level, bounds)
                                     pi, level, score)
         for got, want in zip(batch, one):
             np.testing.assert_array_equal(got[q], want[0])
+    # each level starts from the one below and keeps only what beats it
+    if level > 0:
+        below = pi_set._distance_core(space, x, f, in_pi, pi, level - 1, score)
+        assert (batch[0] <= below[0]).all()
 
 
-def _scalar_golden(fn, lo, hi, iters):
-    """One-bracket golden section, step for step the lane rule.  Test oracle."""
-    a, b = lo, hi
-    c = b - pi_set._GOLDEN * (b - a)
-    d = a + pi_set._GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - pi_set._GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + pi_set._GOLDEN * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-@given(lanes=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 3.0),
-                                st.floats(-4.0, 4.0), st.floats(0.0, 2.0)),
-                      min_size=1, max_size=6),
-       iters=st.integers(0, 50))
-@settings(max_examples=60, deadline=None)
-def test_golden_lanes_match_a_scalar_golden_section(lanes, iters):
-    # lane (lo, width, kink, slope) minimizes |t - kink| + slope (t - kink)^2;
-    # kinks outside the bracket and flat lanes (ties) are included
-    lo = [a for a, _, _, _ in lanes]
-    hi = [a + w for a, w, _, _ in lanes]
-    kink = np.array([k for _, _, k, _ in lanes])
-    slope = np.array([s for _, _, _, s in lanes])
-
-    def fn(t, rows=slice(None)):
-        u = t - kink[rows]
-        return np.abs(u) + slope[rows] * (u * u)
-
-    ts, vs = pi_set._golden_min(fn, lo, hi, iters=iters)
-    for i in range(len(lanes)):
-        t, v = _scalar_golden(lambda s: fn(np.array([s]), [i])[0], lo[i], hi[i], iters)
-        assert (ts[i], vs[i]) == (t, v)
+@pytest.mark.parametrize("name", ["linf:2", "l1:2", "hexagon"])
+def test_dual_face_zoom_reaches_the_face_minimum(name):
+    # at a ball vertex, with f near its dual face, the level-1 distance is
+    # the least functional gap over that face; a brute force over 10,001
+    # points of the face finds the same value, since on these polygons the
+    # gap is flat around its minimum
+    space = _search_space(name)
+    pi = pi_set._cached_pi_sample(space, EstimatorConfig(resolution=64))
+    rng = np.random.default_rng(11)
+    ts = np.linspace(0.0, 1.0, 10001)[:, None]
+    assert len(pi.face_y) > 0
+    for y, lo, hi in zip(pi.face_y, *pi.face_g):
+        t0, r = rng.uniform(size=(2, 25, 1))
+        u = rng.standard_normal((25, 2))
+        f = (1.0 - t0) * lo + t0 * hi + 0.3 * r * u / pi.dual.norm_rows(u)[:, None]
+        x = np.repeat(y[None], 25, axis=0)
+        in_pi = pi_set._in_pi(space.norm_rows(x), pi.dual.norm_rows(f), pi_set._actions(x, f))
+        d = pi_set._distance_core(space, x, f, in_pi, pi, level=1)[0]
+        face = (1.0 - ts) * lo + ts * hi
+        brute = [pi.dual.norm_rows(fq - face).min() for fq in f]
+        np.testing.assert_allclose(d, brute, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -277,6 +263,31 @@ def test_zoom_lanes_match_per_lane_calls(k, seed, lanes, rounds):
                             rounds=rounds, npts=5, shrink=0.35)
         np.testing.assert_array_equal(got_c[i], c[0])
         assert got_v[i] == v[0]
+
+
+LIPSCHITZ_SPACES = ["l2:2", "linf:2", "l1:2", "lp:2:p=1.5", "lp:2:p=1.1", "hexagon",
+                    "sum1(r:1,r:1)", "suminf(r:1,r:1)"]
+
+
+@pytest.mark.parametrize("name", LIPSCHITZ_SPACES)
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_distance_is_1_lipschitz_in_the_max_metric(name, seed):
+    # |d(p) - d(p')| <= max(|x - x'|, |f - f'|*) for p' at offsets up to 1e-1, 1e-3, 1e-6.
+    # Derandomized: about 1 in 3,000 draws puts p inside the 1e-9 tolerance
+    # of Pi but 1e-5 off it, which defect 11 (tests/test_defects.py) pins
+    space = _search_space(name)
+    pi = pi_set._cached_pi_sample(space, EstimatorConfig(resolution=400))
+    rng = np.random.default_rng(seed)
+    x, f = _query_rows(space, pi, rng, 1)
+    u, v = rng.standard_normal((2, 3, 2))
+    step = np.array([1e-1, 1e-3, 1e-6])[:, None] * rng.uniform(size=(2, 3, 1))
+    x = np.concatenate([x, x + step[0] * u / space.norm_rows(u)[:, None]])
+    f = np.concatenate([f, f + step[1] * v / pi.dual.norm_rows(v)[:, None]])
+    in_pi = pi_set._in_pi(space.norm_rows(x), pi.dual.norm_rows(f), pi_set._actions(x, f))
+    d = pi_set._distance_core(space, x, f, in_pi, pi)[0]
+    moved = np.maximum(space.norm_rows(x[1:] - x[0]), pi.dual.norm_rows(f[1:] - f[0]))
+    assert (np.abs(d[1:] - d[0]) <= moved + 1e-9).all(), (d, moved)
 
 
 # ---------------------------------------------------------------------------
