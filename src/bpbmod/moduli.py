@@ -120,14 +120,24 @@ def estimate_phi_mut(space: NormedSpace, q: ModulusQuery,
 
 
 def _pair_norm_tiles(space: NormedSpace, pts: np.ndarray):
-    """Yield ``(lo, |x_i + x_j|, |x_i - x_j|)`` for tiles of rows i >= lo and all j."""
+    """Yield ``(lo, |x_i + x_j|, |x_i - x_j|)`` for tiles of rows i >= lo and j >= lo.
+
+    The tiles cover every pair i <= j, in the upper triangle, and some with
+    j < i; each pair they leave out is the mirror of one they hold.  Both
+    matrices are bitwise symmetric: x + y = y + x exactly, and y - x = -(x - y)
+    exactly, where every norm is bitwise even.  So a maximum over the tiles
+    is the maximum over all pairs, and the row-major first argmax of the
+    whole matrix, (i, j) with j >= i since its mirror (j, i) would come
+    first otherwise, is the first one found in the tiles, scanned in order.
+    With ``step`` rows a tile, the tiles hold n (n + step) / 2 pairs at most.
+    """
     n, dim = pts.shape
     step = _tile_rows(n * dim)
     for lo in range(0, n, step):
-        block = pts[lo : lo + step, None, :]
-        sums = space.norm_rows((block + pts[None, :, :]).reshape(-1, dim))
-        diffs = space.norm_rows((block - pts[None, :, :]).reshape(-1, dim))
-        yield lo, sums.reshape(-1, n), diffs.reshape(-1, n)
+        block, rest = pts[lo : lo + step, None, :], pts[None, lo:, :]
+        sums = space.norm_rows((block + rest).reshape(-1, dim))
+        diffs = space.norm_rows((block - rest).reshape(-1, dim))
+        yield lo, sums.reshape(-1, n - lo), diffs.reshape(-1, n - lo)
 
 
 def _alpha_points(space: NormedSpace, config: EstimatorConfig) -> Mesh:
@@ -147,6 +157,9 @@ def estimate_alpha(space: NormedSpace,
     The objective (|x+y| + |x-y|) / 2 is convex in each argument, so its
     supremum over the ball product is attained on sphere pairs; interior
     sampling is audited separately, not assumed (audit_alpha_interior).
+    The objective is bitwise symmetric in (x, y), so the sweep takes the
+    upper-triangle tiles of ``_pair_norm_tiles`` only; its mesh argmax is
+    the first flat argmax of the whole matrix, which lies in that triangle.
     """
     mesh = _alpha_points(space, config)
     pts = mesh.points
@@ -157,7 +170,7 @@ def estimate_alpha(space: NormedSpace,
         k = int(np.argmax(obj))
         if obj.flat[k] > best:
             best = float(obj.flat[k])
-            i0, j0 = lo + k // len(pts), k % len(pts)
+            i0, j0 = lo + k // obj.shape[1], lo + k % obj.shape[1]
     bx, by = pts[i0].copy(), pts[j0].copy()
 
     if mesh.angles is not None:

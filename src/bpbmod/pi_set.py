@@ -28,12 +28,16 @@ metric, so its values on pairs of anchors, every ``_ANCHOR_STEP``-th marked
 row and functional, bound it on every pair; a second pass takes each row's
 bound.  Rows are then evaluated in decreasing bound, and the pairs and at
 last the rows whose bound falls below the ``_TOP_K``-th best value so far
-are skipped.  The seeds, their values and their argmax functionals are
-bitwise those of a scan of every feasible pair.  The one array that grows
-with the mesh is the functionals' distance rows, N_f x N_pi, each built
-when a pair first needs it; a sweep that could need more than 1 GiB for
-them raises ``SweepTooLargeError``, a regime error, before any work, and
-so does a unit-sphere mesh whose coordinates alone would pass 256 MiB.
+are skipped.  A pair's sample distance is a min-max over the Pi samples,
+and its minimizing sample lies within the pair's value, so within its
+bound, of the x row: an evaluated row with many pairs, and few samples
+within the largest bound of its pairs, reduces over those only.  The
+seeds, their values and their argmax functionals are bitwise those of a
+scan of every feasible pair.  The one array that grows with the mesh is
+the functionals' distance rows, N_f x N_pi, each built when a pair first
+needs it; a sweep that could need more than 1 GiB for them raises
+``SweepTooLargeError``, a regime error, before any work, and so does a
+unit-sphere mesh whose coordinates alone would pass 256 MiB.
 
 Estimators are deterministic for a fixed resolution: reductions break ties
 by lowest sample index.
@@ -80,6 +84,13 @@ _TOP_K = 4
 # Every _ANCHOR_STEP-th marked row and column of a pair sweep is an anchor
 # of its distance bounds.
 _ANCHOR_STEP = 8
+# Runs of at least _CUT_PAIRS pairs in a pair min-max reduce over the Pi
+# samples within their bound only, where those are at most _CUT_SHARE of the
+# samples.  Picking the samples costs more than it saves on the runs of
+# about 13 pairs of a 2-d sweep at resolution 400, and a picked sample costs
+# about three times a copied one.
+_CUT_PAIRS = 32
+_CUT_SHARE = 0.25
 # Rounds of each 1-d zoom of a distance search, 13 points a round and each
 # round a sixth as wide: the last grid step is 6**-17 of the first half-width.
 _ZOOM_ROUNDS = 17
@@ -471,18 +482,33 @@ def _row_starts(pr):
     return np.flatnonzero(np.concatenate(([True], pr[1:] != pr[:-1])))
 
 
-def _pair_minmax(dx, df, pr, pc, buf):
+def _pair_minmax(dx, df, pr, pc, buf, cap=None):
     """min_k max(dx[pr[p], k], df[pc[p], k]) per pair p, for pairs sorted by pr.
 
-    Each dx row meets the df rows of its pairs in chunks of the scratch buffer.
+    Each dx row meets the df rows of its pairs in chunks of the scratch
+    buffer.  ``cap``, one value per run of equal ``pr``, bounds every value
+    of its run from above.  A minimizer k* of a pair then has
+    dx[r, k*] <= value <= cap, so a run may reduce over the samples k with
+    dx[r, k] <= cap only: they hold k*, and a min and a max are exact, so
+    the values are bitwise the same.  A run does so when it has at least
+    ``_CUT_PAIRS`` pairs and those samples are at most ``_CUT_SHARE`` of all.
     """
     out = np.empty(len(pr))
     bounds = np.append(_row_starts(pr), len(pr))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        row = dx[pr[lo]]
-        for c in range(lo, hi, len(buf)):
-            b = buf[: min(len(buf), hi - c)]
-            np.take(df, pc[c : c + len(b)], axis=0, out=b, mode="clip")
+    for run, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        row, chunk, near = dx[pr[lo]], len(buf), None
+        if cap is not None and hi - lo >= _CUT_PAIRS:
+            keep = np.flatnonzero(row <= cap[run])
+            if len(keep) <= _CUT_SHARE * len(row):
+                near, row, chunk = keep, row[keep], buf.size // len(keep)
+        for c in range(lo, hi, chunk):
+            pcs = pc[c : min(c + chunk, hi)]
+            if near is None:
+                b = buf[: len(pcs)]
+                np.take(df, pcs, axis=0, out=b, mode="clip")
+            else:
+                b = buf.reshape(-1)[: len(pcs) * len(near)].reshape(len(pcs), len(near))
+                np.take(df, pcs[:, None] * df.shape[1] + near, out=b, mode="clip")
             np.maximum(row, b, out=b)
             b.min(axis=1, out=out[c : c + len(b)])
     return out
@@ -508,9 +534,13 @@ def _scan_pairs(space, dual, xs, fs, floor, pi):
     U_i, in batches that grow sixteenfold, each taken tile by tile.  With tau
     the ``_TOP_K``-th best value so far, the pairs with UB < tau are
     skipped, and the search stops at the first row with U_i < tau; tau
-    rises after every tile.  Point distance rows are built for the anchors
-    and the evaluated rows only, and functional distance rows for the
-    anchors and when a surviving pair first needs them.  Every feasibility test takes its tile's whole product, so
+    rises after every tile.  The largest UB over a row's remaining pairs is
+    the cap that ``_pair_minmax`` takes for the row: each of those pairs has
+    V <= UB <= cap, so its minimizing Pi sample is within cap of x_i, and
+    the samples farther away are left out of the min-max.  Point distance
+    rows are built for the anchors and the evaluated rows only, and
+    functional distance rows for the anchors and when a surviving pair first
+    needs them.  Every feasibility test takes its tile's whole product, so
     all test the same action bits.  No array has N_x x N_f entries.
     """
     npi, dim = pi.points.shape
@@ -594,8 +624,9 @@ def _scan_pairs(space, dual, xs, fs, floor, pi):
             if p.size == 0:
                 continue
             pr, pc, k = pairs(t * step, p)
-            live = upper(p, pr, pc, k) >= tau
-            pr, pc = pr[live], pc[live]
+            ub = upper(p, pr, pc, k)
+            live = ub >= tau
+            pr, pc, ub = pr[live], pc[live], ub[live]
             if pr.size == 0:
                 continue
             new = np.unique(pc[~built[pc]])
@@ -608,7 +639,8 @@ def _scan_pairs(space, dual, xs, fs, floor, pi):
             dx[lead] = dxa[p[lead] // _ANCHOR_STEP]
             dx[~lead] = _distance_rows(space.norm_rows, xs[rows[p[~lead]]], pi.points,
                                        np.empty((len(p) - lead.sum(), npi)))
-            first, best, arg = row_max(pr, _pair_minmax(dx, df, pr, pc, buf))
+            cap = np.maximum.reduceat(ub, _row_starts(pr))
+            first, best, arg = row_max(pr, _pair_minmax(dx, df, pr, pc, buf, cap))
             top_v = np.concatenate([top_v, best])
             top_i = np.concatenate([top_i, rows[p[pr[first]]]])
             top_j = np.concatenate([top_j, cols[pc[arg]]])

@@ -255,7 +255,16 @@ class Lp(NormedSpace):
 
 @dataclass(frozen=True, eq=False)
 class Polytope(NormedSpace):
-    """Norm whose unit ball is the convex hull of a symmetric vertex list."""
+    """Norm whose unit ball is the convex hull of a symmetric vertex list.
+
+    The gauge is max_k |N_k . v| / c_k over the facets {x : N_k . x <= c_k}.
+    A centrally symmetric ball has its facets in pairs (N, c) and (-N, c),
+    so in exact arithmetic this is the largest facet ratio max_k N_k . v / c_k.
+    Qhull's paired normals are not exact negatives of each other, so that
+    maximum can differ at v and -v in the last bit; with the abs the gauge
+    is even by construction, bitwise, which the symmetric pair sweeps of
+    ``moduli`` need.
+    """
 
     vertices: np.ndarray
 
@@ -303,9 +312,8 @@ class Polytope(NormedSpace):
 
     def norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
-        # the gauge is the largest facet ratio of the H-form
         normals, offsets = self._facets
-        return np.maximum(_max_row_products(rows, normals, offsets), 0.0)
+        return _max_row_products(rows, normals, offsets)
 
     def support_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
@@ -379,14 +387,16 @@ def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
 
 
 def _max_row_products(rows: np.ndarray, mat: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """``(_row_products(rows, mat) / scale).max(axis=1)``, bitwise.
+    """``(abs(_row_products(rows, mat)) / scale).max(axis=1)``, bitwise.
 
-    Long batches against fewer than 8 rows of ``mat`` take a running maximum
-    of one column of the product at a time, each the same sequential sum,
-    and never form the ``(n, len(mat))`` matrix.
+    Negating a row negates each of its sequential sums exactly, so the
+    result is bitwise the same at -row.  Long batches against fewer than 8
+    rows of ``mat`` take a running maximum of one column of the product at a
+    time, each the same sequential sum, and never form the
+    ``(n, len(mat))`` matrix.
     """
     if not _loops(len(rows), len(mat)):
-        return (_row_products(rows, mat) / scale).max(axis=1)
+        return (np.abs(_row_products(rows, mat)) / scale).max(axis=1)
     out = np.empty(len(rows))
     col, term = np.empty_like(out), np.empty_like(out)
     for k, m in enumerate(mat):
@@ -395,6 +405,7 @@ def _max_row_products(rows: np.ndarray, mat: np.ndarray, scale: np.ndarray) -> n
         for j in range(1, len(m)):
             np.multiply(rows[:, j], m[j], out=term)
             dest += term
+        np.abs(dest, out=dest)
         dest /= scale[k]
         if k:
             np.maximum(out, col, out=out)

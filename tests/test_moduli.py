@@ -328,6 +328,32 @@ def test_pair_sweeps_match_dense_oracle(sweep_spaces, tile_rows, data, seed, n):
     lambda space, cfg: estimate_alpha(space, cfg),
     lambda space, cfg: convexity_profile(space, [0.5, 1.0, 1.5], cfg),
 ], ids=["alpha", "convexity"])
+def test_pair_sweeps_take_the_upper_triangle(sweep_spaces, sweep):
+    # every pair of the whole matrix costs 2 n**2 norm rows; the triangle
+    # tiles hold the pairs i <= j and the lower part of each diagonal block
+    space, n, step = sweep_spaces["l2:3"], 60, 7
+    pts = np.random.default_rng(5).standard_normal((n, space.dim))
+    pts /= space.norm_rows(pts)[:, None]
+    mesh = Mesh(pts, None, None, mesh_gap(space, pts))
+    rows = []
+    norm_rows = type(space).norm_rows
+
+    def counted(self, a):
+        rows.append(len(a))
+        return norm_rows(self, a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pi_set, "_TILE_ELEMS", step * n * space.dim)
+        mp.setattr(moduli, "_alpha_points", lambda space, config: mesh)
+        mp.setattr(type(space), "norm_rows", counted)
+        sweep(space, EstimatorConfig())
+    assert 0 < sum(rows) <= n * (n + 1) + 2 * step * n < 2 * n * n
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda space, cfg: estimate_alpha(space, cfg),
+    lambda space, cfg: convexity_profile(space, [0.5, 1.0, 1.5], cfg),
+], ids=["alpha", "convexity"])
 def test_pair_sweep_memory_is_bounded(sweep):
     # the whole-matrix sweep peaked at 238 MiB here
     tracemalloc.start()

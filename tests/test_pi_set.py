@@ -417,21 +417,27 @@ def _ball_rows(space, rng, n):
 
 
 def _check_seeds(space, pi, xs, fs, floor, tile_rows):
-    """The best-first scan's seeds are the dense oracle's stable top rows, bitwise."""
+    """The best-first scan's seeds are the dense oracle's stable top rows,
+    bitwise, whether every pair min-max run reduces over the Pi samples
+    within its bound (``_CUT_PAIRS`` 1, ``_CUT_SHARE`` 1) or none does (no
+    run has more pairs than there are functionals)."""
     want = _dense_scan(space, pi.dual, xs, fs, floor, pi)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pi_set, "_TILE_ELEMS", tile_rows * len(pi.points))
-        if want is None:
-            with pytest.raises(EmptyConstraintError):
-                pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
-            return
-        rows, vals, cols = pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
-    best_val, best_j = want
-    order = np.argsort(-best_val, kind="stable")[: pi_set._TOP_K]
-    order = order[np.isfinite(best_val[order])]
-    np.testing.assert_array_equal(rows, order)
-    np.testing.assert_array_equal(vals, best_val[order])
-    np.testing.assert_array_equal(cols, best_j[order])
+    for cut_pairs in (1, len(fs) + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pi_set, "_TILE_ELEMS", tile_rows * len(pi.points))
+            mp.setattr(pi_set, "_CUT_PAIRS", cut_pairs)
+            mp.setattr(pi_set, "_CUT_SHARE", 1.0)
+            if want is None:
+                with pytest.raises(EmptyConstraintError):
+                    pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
+                return
+            rows, vals, cols = pi_set._scan_pairs(space, pi.dual, xs, fs, floor, pi)
+        best_val, best_j = want
+        order = np.argsort(-best_val, kind="stable")[: pi_set._TOP_K]
+        order = order[np.isfinite(best_val[order])]
+        np.testing.assert_array_equal(rows, order)
+        np.testing.assert_array_equal(vals, best_val[order])
+        np.testing.assert_array_equal(cols, best_j[order])
 
 
 @pytest.mark.parametrize("tile_rows", [1, 7, 64])

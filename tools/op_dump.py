@@ -15,8 +15,10 @@ dumps are byte-identical exactly when the outputs are bitwise the same.
 ``--compare`` prints, per workload and kind of operation, how many
 operations changed at all and how many in value, the largest rise and fall
 of their values (B minus A) and the number of failed checks in each dump,
-then names every operation whose check outcome differs.  To compare two commits,
-dump each from its own checkout with the same seed.
+then names every operation whose check outcome differs.  It exits 1 when
+the dumps differ at all, in any field of any operation, and 0 when they are
+equal.  To compare two commits, dump each from its own checkout with the
+same seed.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ def main(argv=None) -> int:
     if args.compare:
         a, b = (json.loads(Path(f).read_text()) for f in args.compare)
         print("\n".join(compare(a, b)))
-        return 0
+        return int(a != b)
     if args.out is None:
         p.error("--seed needs the path of the dump to write")
     Path(args.out).write_text(json.dumps(dump(args.seed), indent=1, sort_keys=True) + "\n")
