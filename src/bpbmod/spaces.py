@@ -18,6 +18,7 @@ product.  Supported space kinds:
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -48,6 +49,10 @@ __all__ = [
 _SYMMETRY_TOL = 1e-12
 # Tie detection for subdifferential faces (argmax sets, equal component norms).
 _TIE_TOL = 1e-12
+# Slack of the vertex hull, relative to the largest absolute vertex
+# coordinate: a facet {n . x <= c}, |n| = 1, sees a point p when
+# n . p > c + slack, and p lies on it when |n . p - c| <= slack.
+_HULL_TOL = 1e-10
 # Seed of the estimators' random draws: the 4-d sphere mesh of
 # pi_set._sphere_mesh, the 3-d and 4-d mesh_gap probes and
 # moduli.audit_alpha_interior.
@@ -260,10 +265,11 @@ class Polytope(NormedSpace):
     The gauge is max_k |N_k . v| / c_k over the facets {x : N_k . x <= c_k}.
     A centrally symmetric ball has its facets in pairs (N, c) and (-N, c),
     so in exact arithmetic this is the largest facet ratio max_k N_k . v / c_k.
-    Qhull's paired normals are not exact negatives of each other, so that
-    maximum can differ at v and -v in the last bit; with the abs the gauge
-    is even by construction, bitwise, which the symmetric pair sweeps of
-    ``moduli`` need.
+    The hull's paired normals are computed separately and need not be exact
+    negatives of each other, so that maximum can differ at v and -v in the
+    last bit; with the abs the gauge is even by construction, bitwise, which
+    the symmetric pair sweeps of ``moduli`` need.  The facets and extreme
+    points come from ``_vertex_hull``, in its canonical order.
     """
 
     vertices: np.ndarray
@@ -279,45 +285,36 @@ class Polytope(NormedSpace):
             if np.abs(v + row).max(axis=1).min() > _SYMMETRY_TOL * max(scale, 1.0):
                 raise SpaceError("vertex list must be centrally symmetric")
         object.__setattr__(self, "vertices", v)
-        self._facets  # force hull construction so bad inputs fail fast
+        self._hull  # build the hull now so bad inputs fail fast
 
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
 
     @cached_property
-    def _facets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Facet description (N, c) with ball = {x : N @ x <= c}, c > 0."""
+    def _hull(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(N, c, ids): ball = {x : N @ x <= c} with c > 0, and the rows of
+        ``vertices`` that are extreme points of the ball."""
+        v = self.vertices
         if self.dim == 1:
-            m = float(np.abs(self.vertices).max())
+            m = float(np.abs(v).max())
             if m == 0.0:
                 raise SpaceError("vertex list must span the space")
-            return np.array([[1.0], [-1.0]]), np.array([m, m])
-        # imported here: loading scipy.spatial costs a fresh process ~0.5 s
-        from scipy.spatial import ConvexHull, QhullError
-        try:
-            hull = ConvexHull(self.vertices)
-        except QhullError as exc:
-            raise SpaceError("vertex hull has empty interior") from exc
-        # Qhull's facets are simplices, so coplanar ones repeat a plane: keep
-        # one row per facet, the first of those within _TIE_TOL of each other
-        eq = hull.equations
-        near = np.abs(eq[:, None, :] - eq[None, :, :]).max(axis=2) <= _TIE_TOL
-        eq = eq[near.argmax(axis=1) == np.arange(len(eq))]
-        normals, offsets = eq[:, :-1], -eq[:, -1]
+            ids = np.array([v.argmax(), v.argmin()])
+            return np.array([[1.0], [-1.0]]), np.array([m, m]), ids
+        normals, offsets, ids = _vertex_hull(v)
         if offsets.min() <= _SYMMETRY_TOL:
             raise SpaceError("origin is not interior to the vertex hull")
-        object.__setattr__(self, "_hull_vertex_ids", hull.vertices)
-        return normals, offsets
+        return normals, offsets, ids
 
     def norm_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
-        normals, offsets = self._facets
+        normals, offsets, _ = self._hull
         return _max_row_products(rows, normals, offsets)
 
     def support_rows(self, rows):
         rows = np.asarray(rows, dtype=float)
-        normals, offsets = self._facets
+        normals, offsets, _ = self._hull
         pts = rows / self.norm_rows(rows)[:, None]
         # active facets: ratio 1 up to the tie tolerance
         active = _row_products(pts, normals) / offsets >= 1.0 - _TIE_TOL
@@ -331,15 +328,11 @@ class Polytope(NormedSpace):
     @cached_property
     def _dual(self) -> "Polytope":
         # one instance: a polytope hashes by identity, and caches key on it
-        normals, offsets = self._facets
+        normals, offsets, _ = self._hull
         return Polytope(normals / offsets[:, None])
 
     def ball_vertices(self):
-        if self.dim == 1:
-            m = float(np.abs(self.vertices).max())
-            return np.array([[m], [-m]])
-        self._facets
-        return self.vertices[self._hull_vertex_ids]
+        return self.vertices[self._hull[2]]
 
     def describe(self):
         return {
@@ -347,6 +340,88 @@ class Polytope(NormedSpace):
             "dim": self.dim,
             "vertices": [[float(c) for c in row] for row in self.vertices],
         }
+
+
+def _vertex_hull(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Facets and extreme points of the hull of a symmetric vertex list, dim >= 2.
+
+    Beneath-beyond, with each facet held as the plane w . x = 1, which the
+    interior origin keeps off every facet.  Start from the cross-polytope of
+    d independent rows and their negatives, then add the row farthest
+    outside the hull while one lies beyond a facet by more than ``tol``,
+    ``_HULL_TOL`` times the largest coordinate.  The facets that row sees
+    are replaced by the cone from it over their horizon, the ridges that
+    lie in exactly one seen facet.  A simplicial facet's rows are those
+    within ``tol`` of its plane; facets on the same rows are one facet,
+    fitted through all of them.  An added row is an extreme point when the
+    normals of the facets on it span the space.
+
+    Returns (N, c, ids) with unit normals N, offsets c and the extreme rows'
+    indices.  Canonical order: in 2-d the extreme points and the facet
+    normals each go counter-clockwise from the positive first axis; from
+    3-d the extreme points go by row index and the facets by the sorted
+    indices of their extreme points, compared lexicographically.
+    """
+    k, d = v.shape
+    tol = _HULL_TOL * np.abs(v).max()
+    ids = _spanning_rows(v, tol)
+    ids += [int(np.abs(v + v[j]).max(axis=1).argmin()) for j in ids]
+    facets = [tuple(sorted(f)) for f in itertools.product(*zip(ids[:d], ids[d:]))]
+    w = _planes(v, facets)
+    rest = np.setdiff1d(np.arange(k), ids)
+    while len(rest):
+        # n . p - c for the unit normal n = w / |w| and c = 1 / |w|
+        out = (v[rest] @ w.T - 1.0) / np.sqrt(np.einsum("ij,ij->i", w, w))
+        far = out.max(axis=1)
+        rest, out, far = rest[far > tol], out[far > tol], far[far > tol]
+        if not len(rest):
+            break
+        i = int(far.argmax())
+        ids.append(int(rest[i]))
+        seen = out[i] > tol
+        ridges = collections.Counter(
+            r for f, s in zip(facets, seen) if s for r in itertools.combinations(f, d - 1))
+        cone = [tuple(sorted(r + (ids[-1],))) for r, n in ridges.items() if n == 1]
+        facets = [f for f, s in zip(facets, seen) if not s] + cone
+        w = np.concatenate([w[~seen], _planes(v, cone)])
+        rest = np.delete(rest, i)
+    scale = np.sqrt(np.einsum("ij,ij->i", w, w))
+    on = np.unique(np.abs(v @ w.T - 1.0).T <= tol * scale[:, None], axis=0)  # (facets, rows)
+    w = _planes(v, [tuple(np.flatnonzero(g)[_spanning_rows(v[g], tol)]) for g in on])
+    offsets = 1.0 / np.sqrt(np.einsum("ij,ij->i", w, w))
+    normals = w * offsets[:, None]
+    ext = [j for j in sorted(set(ids)) if np.linalg.matrix_rank(normals[on[:, j]]) == d]
+    if d == 2:
+        ext.sort(key=lambda j: _ccw_angle(v[j]))
+        order = sorted(range(len(on)), key=lambda f: _ccw_angle(normals[f]))
+    else:
+        order = sorted(range(len(on)), key=lambda f: [j for j in ext if on[f, j]])
+    return normals[order], offsets[order], np.array(ext)
+
+
+def _spanning_rows(v: np.ndarray, tol: float) -> list[int]:
+    """Indices of d rows of v, each the row farthest from the span of those before."""
+    ids, basis = [], np.zeros((0, v.shape[1]))
+    for _ in range(v.shape[1]):
+        r = v - (v @ basis.T) @ basis
+        dist = np.sqrt(np.einsum("ij,ij->i", r, r))
+        j = int(dist.argmax())
+        if dist[j] <= tol:
+            raise SpaceError("vertex hull has empty interior")
+        ids.append(j)
+        basis = np.vstack([basis, r[j] / dist[j]])
+    return ids
+
+
+def _planes(v: np.ndarray, facets: list[tuple[int, ...]]) -> np.ndarray:
+    """Rows w with w . x = 1 through the d rows of ``v`` that each facet names."""
+    pts = v[np.array(facets)]
+    return np.linalg.solve(pts, np.ones(pts.shape[:2] + (1,)))[..., 0]
+
+
+def _ccw_angle(p: np.ndarray) -> float:
+    """Angle of a 2-d point counter-clockwise from the positive first axis, in [0, 2 pi)."""
+    return math.atan2(p[1], p[0]) % (2.0 * math.pi)
 
 
 def _row_products(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:

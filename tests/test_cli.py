@@ -312,6 +312,9 @@ def test_alpha_dim4_runs_at_the_capped_resolution(capsys):
 
 
 _IMPORT_HYGIENE = """
+import contextlib
+import io
+import json
 import sys
 
 import bpbmod
@@ -319,9 +322,9 @@ import bpbmod.cli
 from bpbmod import Polytope, SpaceError
 from bpbmod.verify import hexagon
 
-assert bpbmod.cli.main(["psi", "--mu", "1", "--theta", "1", "--delta", "0.1:0.5:0.1"]) == 0
-assert bpbmod.cli.main(["distance", "--space", "l2:2", "--x", "1,0", "--f", "0,1"]) == 0
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bpbmod.cli.main(argv) == 0, argv
 try:
     Polytope([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0], [-0.5, 0.0]])
 except SpaceError as exc:
@@ -329,16 +332,22 @@ except SpaceError as exc:
 else:
     raise AssertionError("a flat vertex list built a polytope")
 hexagon()
-assert "scipy.spatial" in sys.modules
-assert "scipy.optimize" not in sys.modules
+cube = Polytope([[a, b, c] for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)])
+cube.dual()
+assert not any(m.partition(".")[0] == "scipy" for m in sys.modules), \
+    sorted(m for m in sys.modules if m.startswith("scipy"))
 """
 
 
-def test_cli_loads_scipy_only_for_polytopes():
-    # a fresh process: this one has long since loaded scipy
+def test_cli_and_polytopes_load_no_scipy():
+    # a fresh process: this one has long since loaded scipy.  It runs every
+    # README command (verify at its default resolution) and builds polytopes.
+    commands = [shlex.split(line)[1:] for line in README.read_text().splitlines()
+                if line.startswith("bpbmod ") and not line.startswith("bpbmod verify")]
+    commands.append(["verify", "--suite", "all"])
     src = str(Path(bpbmod.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", _IMPORT_HYGIENE], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_HYGIENE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

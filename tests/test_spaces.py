@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -332,23 +333,130 @@ def test_bidual_polytope_dim3():
 
 
 def test_polytope_has_one_row_per_facet():
-    # Qhull splits each square face of the cube into two triangles
+    # the hull is built from triangles, two on each square face of the cube
     cube = _cube()
-    normals, offsets = cube._facets
+    normals, offsets, _ = cube._hull
     assert len(normals) == len(offsets) == 6
     octahedron = np.vstack([np.eye(3), -np.eye(3)])
     assert sorted(map(tuple, cube.dual().vertices)) == sorted(map(tuple, octahedron))
 
 
 def test_support_at_a_prism_edge_is_the_facet_barycenter():
-    # hexagonal prism: 6 side faces and 2 hexagons, which Qhull triangulates
+    # hexagonal prism: 6 side faces and 2 hexagons, which the hull triangulates
     hexagon = [(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6)]
     prism = Polytope(np.array([(x, y, z) for x, y in hexagon for z in (1.0, -1.0)]))
-    assert len(prism._facets[0]) == 8
+    assert len(prism._hull[0]) == 8
     # midpoint of the edge where the top face meets the side face (1, 1/sqrt 3, 0)
     v = np.array([(1.0 + hexagon[1][0]) / 2.0, hexagon[1][1] / 2.0, 1.0])
     side, top = np.array([1.0, 1.0 / math.sqrt(3.0), 0.0]), np.array([0.0, 0.0, 1.0])
     np.testing.assert_allclose(prism.support(v), (side + top) / 2.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the vertex hull, against scipy's Qhull as the oracle
+
+
+def _hull_cases():
+    hexagon = [(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0)) for k in range(6)]
+    cube = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    rng = np.random.default_rng(7)  # the draws of test_norm_polytope_matches_lp_oracle
+    random3, random4 = rng.standard_normal((9, 3)), rng.standard_normal((12, 4))
+    jittered = cube[:4] + np.random.default_rng(1).uniform(-1e-13, 1e-13, (4, 3))
+    cells = [p for p in itertools.product((1.0, -1.0, 0.0), repeat=4)
+             if sum(map(abs, p)) == 2.0]
+    return {
+        "hexagon": np.array(hexagon),
+        "cube": cube,
+        "octahedron": np.vstack([np.eye(3), -np.eye(3)]),
+        "hexagonal prism": np.array([(x, y, z) for x, y in hexagon for z in (1.0, -1.0)]),
+        "random3": np.vstack([random3, -random3]),
+        "random4": np.vstack([random4, -random4]),
+        "tesseract": np.array(list(itertools.product((1.0, -1.0), repeat=4))),
+        "4-d cross-polytope": np.vstack([np.eye(4), -np.eye(4)]),
+        "24-cell": np.array(cells),
+        "jittered cube": np.vstack([jittered, -jittered]),
+    }
+
+
+def _assert_hull_matches_qhull(poly):
+    from scipy.spatial import ConvexHull  # the oracle only; the package never loads it
+
+    normals, offsets, ids = poly._hull
+    hull = ConvexHull(poly.vertices)
+    ours = normals / offsets[:, None]
+    theirs = hull.equations[:, :-1] / -hull.equations[:, -1:]
+    # Qhull's facets are simplices, so its list repeats a plane of a larger
+    # facet; as sets of planes scaled to c = 1 the two hulls are equal, to
+    # 1e-12 of each plane's largest coefficient where that exceeds 1 (a
+    # facet near the origin has coefficients in the hundreds)
+    gap = (np.abs(ours[:, None, :] - theirs[None, :, :]).max(axis=2)
+           / np.maximum(1.0, np.abs(theirs).max(axis=1)))
+    assert gap.min(axis=1).max() <= 1e-12
+    assert gap.min(axis=0).max() <= 1e-12
+    assert (np.abs(ours[:, None, :] - ours[None, :, :]).max(axis=2) > 1e-12).sum() == \
+        len(ours) * (len(ours) - 1)
+    # the same extreme points (as points: a repeated row may be either copy)
+    assert (set(map(tuple, poly.vertices[ids]))
+            == set(map(tuple, poly.vertices[hull.vertices])))
+    assert poly.norm_rows(poly.vertices).max() <= 1.0 + 1e-12
+    rows = np.random.default_rng(0).standard_normal((20, poly.dim))
+    np.testing.assert_allclose(poly.dual().dual().norm_rows(rows), poly.norm_rows(rows),
+                               rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", list(_hull_cases()))
+def test_vertex_hull_matches_qhull(name):
+    poly = Polytope(_hull_cases()[name])
+    _assert_hull_matches_qhull(poly)
+    # the dual's facets are not simplices: the 4-d ones join up to 18 vertices
+    _assert_hull_matches_qhull(poly.dual())
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_vertex_hull_matches_qhull_on_symmetric_draws(data):
+    # grid points, so that coplanar and repeated rows come up often
+    dim = data.draw(st.integers(2, 4))
+    k = data.draw(st.integers(1, 8))
+    half = np.array(data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=dim,
+                                                max_size=dim),
+                                       min_size=k, max_size=k)), dtype=float) / 4.0
+    v = np.vstack([half, -half])
+    if np.linalg.matrix_rank(v) < dim:
+        with pytest.raises(SpaceError, match="^vertex hull has empty interior$"):
+            Polytope(v)
+        return
+    _assert_hull_matches_qhull(Polytope(v))
+
+
+@pytest.mark.parametrize("flat", [
+    [[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0], [-0.5, 0.0]],
+    [[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]],
+])
+def test_flat_vertex_lists_have_empty_interior(flat):
+    with pytest.raises(SpaceError, match="^vertex hull has empty interior$"):
+        Polytope(np.array(flat))
+
+
+def test_vertex_hull_order_is_canonical():
+    # 2-d: the extreme points and the facet normals each counter-clockwise
+    # from the positive first axis, whatever the order of the rows
+    hexagon = np.array([(math.cos(k * math.pi / 3.0), math.sin(k * math.pi / 3.0))
+                        for k in range(6)])
+    perm = [4, 1, 5, 0, 3, 2]
+    poly = Polytope(hexagon[perm])
+    np.testing.assert_array_equal(poly.ball_vertices(), hexagon)
+    normals, offsets, _ = poly._hull
+    angles = np.arctan2(normals[:, 1], normals[:, 0]) % (2.0 * math.pi)
+    np.testing.assert_allclose(angles, np.pi / 6.0 + np.arange(6) * np.pi / 3.0, atol=1e-12)
+    # 3-d: the extreme points by row index, the facets by the sorted indices
+    # of their extreme points: x = 1 holds rows 0-3, y = 1 rows 0, 1, 6, 7, ...
+    cube = _cube()
+    normals, offsets, ids = cube._hull
+    np.testing.assert_array_equal(ids, np.arange(8))
+    np.testing.assert_array_equal(normals, [[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                            [0, 0, -1], [0, -1, 0], [-1, 0, 0]])
+    np.testing.assert_array_equal(offsets, np.ones(6))
 
 
 def test_dual_space_constructions(l1, l2, linf, sum1_rr, suminf_rr):
